@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import platform
 import sys
@@ -66,25 +67,6 @@ METRICS = ("rouge1", "rouge2", "rougeL")
 
 SYNTH_DEFAULTS = {"n_docs": 2000, "topic_count": 50, "seed": 12}
 GENDATA_DEFAULTS = {"n_pairs": 15000, "seed": 12}
-TRAIN_DEFAULTS = {
-    "hidden_dim": 64,
-    "n_layers": 2,
-    "n_heads": 4,
-    "ffn_dim": 256,
-    "prefix_len": 16,
-    "max_len": 512,
-    "init_seed": 12,
-    "learning_rate": 3.0e-5,
-    "epochs": 10,
-    "batch_size": 8,
-    "seed": 12,
-    "mode": "unified",
-    "scenario": None,
-    "weight_decay": 0.01,
-    "clip_norm": 1.0,
-    "holdout_fraction": 0.1,
-    "target_accuracy": None,
-}
 SCORE_DEFAULTS = {"scenario": None, "fusion": None, "metric": None}
 
 
@@ -208,9 +190,20 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _train_defaults(args: argparse.Namespace) -> dict:
+    """Defaults of the train settings: the field defaults of ModelConfig and
+    TrainConfig that have a flag of the same name."""
+    return {
+        f.name: f.default
+        for cls in (ModelConfig, TrainConfig)
+        for f in dataclasses.fields(cls)
+        if hasattr(args, f.name)
+    }
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     _keep_freed_memory()
-    cfg = _merge(args, TRAIN_DEFAULTS)
+    cfg = _merge(args, _train_defaults(args))
     mode = cfg["mode"]
     if mode == "single":
         mode = "single_scenario"

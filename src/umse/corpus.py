@@ -117,11 +117,13 @@ def make_document(doc_id: str, text: str, reference_summary: str) -> Document:
 class Corpus:
     documents: tuple[Document, ...]
     provenance: str = "real"
+    _ordinals: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = [d.id for d in self.documents]
-        if len(set(ids)) != len(ids):
+        ordinals = {d.id: i for i, d in enumerate(self.documents)}
+        if len(ordinals) != len(self.documents):
             raise ValueError("duplicate document ids in corpus")
+        object.__setattr__(self, "_ordinals", ordinals)
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -130,10 +132,8 @@ class Corpus:
         return self.documents[ordinal]
 
     def ordinal_of(self, doc_id: str) -> int:
-        for i, d in enumerate(self.documents):
-            if d.id == doc_id:
-                return i
-        raise KeyError(doc_id)
+        """Ordinal of the document with this id; KeyError if there is none."""
+        return self._ordinals[doc_id]
 
 
 CLS_TOKEN = "[CLS]"

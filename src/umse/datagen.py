@@ -28,7 +28,6 @@ from .retrieval import Bm25Index, most_similar
 
 SUMMARY_MATCHING = "summary_matching"
 DOCUMENT_MATCHING = "document_matching"
-SCENARIOS = ("SR", "SD", "SDR")
 
 _NEIGHBOR_ATTEMPTS = 5
 

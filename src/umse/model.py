@@ -47,10 +47,10 @@ _LN_EPS = 1.0e-5
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    hidden_dim: int = 128
-    n_layers: int = 4
+    hidden_dim: int = 64
+    n_layers: int = 2
     n_heads: int = 4
-    ffn_dim: int = 512
+    ffn_dim: int = 256
     prefix_len: int = 16
     max_len: int = 512
     mlp_dims: tuple[int, int, int] = ()
@@ -108,30 +108,6 @@ def prefix_permutation(prefix_len: int, scenario: str) -> tuple[int, ...]:
     if scenario == "SR":
         return tuple(range(prefix_len - 1, -1, -1))
     raise ValueError(f"unknown scenario: {scenario}")
-
-
-@dataclass(frozen=True)
-class PrefixBank:
-    base: np.ndarray  # (L_p, z)
-    perm_sr: tuple[int, ...]
-    perm_sd: tuple[int, ...]
-    perm_sdr: tuple[int, ...]
-
-
-def get_prefix_bank(params: dict[str, np.ndarray]) -> PrefixBank:
-    base = params["prefix_base"]
-    n = base.shape[0]
-    return PrefixBank(
-        base=base,
-        perm_sr=prefix_permutation(n, "SR"),
-        perm_sd=prefix_permutation(n, "SD"),
-        perm_sdr=prefix_permutation(n, "SDR"),
-    )
-
-
-def permute_prefix(bank: PrefixBank, scenario: str) -> np.ndarray:
-    perm = {"SR": bank.perm_sr, "SD": bank.perm_sd, "SDR": bank.perm_sdr}[scenario]
-    return bank.base[list(perm)]
 
 
 def param_names(config: ModelConfig) -> list[str]:
@@ -442,7 +418,6 @@ class LayerCache:
 class ForwardCache:
     layouts: list[InputLayout]
     ids: np.ndarray  # (B, T) with -1 prefix slots and PAD fill
-    positions: np.ndarray
     pool_mask: np.ndarray  # (B, T) True where pooled
     pool_counts: np.ndarray  # (B,)
     emb: np.ndarray
@@ -477,7 +452,7 @@ def forward_batch(
     emb = np.empty((n, t, z))
     tok_emb = params["tok_emb"]
     pos_emb = params["pos_emb"]
-    bank = get_prefix_bank(params)
+    prefix_base = params["prefix_base"]
     for i, layout in enumerate(layouts):
         ln = layout.length
         row = np.asarray(layout.ids, dtype=np.int64)
@@ -486,15 +461,14 @@ def forward_batch(
         content = np.where(row == _PREFIX_SLOT, 0, row)
         emb[i, :ln] = tok_emb[content]
         if layout.n_prefix:
-            emb[i, 1 : 1 + layout.n_prefix] = permute_prefix(bank, layout.scenario)
+            perm = prefix_permutation(len(prefix_base), layout.scenario)
+            emb[i, 1 : 1 + layout.n_prefix] = prefix_base[list(perm)]
         emb[i, ln:] = tok_emb[PAD_ID]
-    positions = np.broadcast_to(np.arange(t), (n, t))
     emb = emb + pos_emb[:t]
 
     cache = ForwardCache(
         layouts=list(layouts),
         ids=ids,
-        positions=np.ascontiguousarray(positions),
         pool_mask=pool_mask,
         pool_counts=pool_mask.sum(axis=1).astype(float),
         emb=emb,
@@ -554,33 +528,8 @@ def forward_batch(
 
 @dataclass(frozen=True)
 class ScoreOutput:
-    p: tuple[float, float]  # (negative, positive)
-    score: float
+    score: float  # positive-class probability
     scenario: str | None = None
-
-
-def encode(
-    params: dict[str, np.ndarray], config: ModelConfig, layout: InputLayout
-) -> np.ndarray:
-    """Token-level representation for one layout, shape (length, z)."""
-    cache = forward_batch(params, config, [layout])
-    return cache.h_enc[0, : layout.length]
-
-
-def pool(h: np.ndarray, layout: InputLayout) -> np.ndarray:
-    """Mean of non-prefix rows (CLS, content and SEP all count)."""
-    include = np.asarray(layout.ids) != _PREFIX_SLOT
-    return h[include].mean(axis=0)
-
-
-def classify(
-    params: dict[str, np.ndarray], pooled: np.ndarray, scenario: str | None = None
-) -> ScoreOutput:
-    a1 = np.tanh(pooled @ params["head.w1"] + params["head.b1"])
-    a2 = np.tanh(a1 @ params["head.w2"] + params["head.b2"])
-    logits = a2 @ params["head.w3"] + params["head.b3"]
-    probs = _softmax_last(logits)
-    return ScoreOutput(p=(float(probs[0]), float(probs[1])), score=float(probs[1]), scenario=scenario)
 
 
 def score(
@@ -594,8 +543,7 @@ def score(
 ) -> ScoreOutput:
     layout = assemble_input(scenario, candidate, reference, document, config, use_prefix)
     cache = forward_batch(params, config, [layout])
-    probs = cache.probs[0]
-    return ScoreOutput(p=(float(probs[0]), float(probs[1])), score=float(probs[1]), scenario=scenario)
+    return ScoreOutput(score=float(cache.probs[0, 1]), scenario=scenario)
 
 
 def fuse(s_sr: float, s_sd: float, method: str = DEFAULT_FUSION) -> float:

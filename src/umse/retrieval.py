@@ -2,8 +2,24 @@
 
 Used to find each document's most similar neighbor when building hard
 negatives. k1=1.2, b=0.75 and the +1-smoothed idf are the canonical
-defaults; summation over query terms runs in ascending token-id order so a
-freshly built index and a deserialized one score bit-identically.
+defaults.
+
+The postings are held once, as compressed sparse rows over the distinct
+tokens in ascending id order: ``terms[i]`` is a token id, and its postings
+are ``ordinals[offsets[i]:offsets[i + 1]]`` (document ordinals, ascending)
+with the term frequencies ``tfs`` at the same positions. The idf of every
+term and the length norm of every document are computed once, when the
+index is made.
+
+Summation order is part of the contract. A document's score adds one
+contribution per distinct query term, in ascending token order, starting
+from 0.0, each computed left to right as
+``qtf * idf * tf * (k1 + 1) / (tf + norm)``. Scoring every document gathers
+the query terms' postings term by term, in that order, and sums them with
+``np.bincount``, which adds each document's contributions in the order they
+arrive. So ``bm25_score``, the all-document scores, a fresh index and a
+deserialized one agree bit for bit, and so do the rankings and the datasets
+built from them.
 """
 
 from __future__ import annotations
@@ -12,6 +28,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,60 +38,75 @@ from .corpus import Corpus, Vocabulary, tokenize
 INDEX_MAGIC = b"UMSEIDX1"
 
 
-@dataclass
+def _idf(n_docs: int, df: int) -> float:
+    # math.log, not np.log: numpy's vectorized log need not round the same way
+    return math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``range(s, s + n)`` for each ``(s, n)`` pair, concatenated."""
+    first = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+
+
+@dataclass(eq=False)
 class Bm25Index:
-    postings: dict[int, list[tuple[int, int]]]  # token -> [(doc ordinal, tf)]
+    doc_ids: list[str]
     doc_len: list[int]
     avg_doc_len: float
-    n_docs: int
-    doc_ids: list[str]
+    terms: np.ndarray  # (n_terms,) distinct token ids, ascending
+    offsets: np.ndarray  # (n_terms + 1,) where each term's postings start
+    ordinals: np.ndarray  # (n_postings,) document ordinals, ascending per term
+    tfs: np.ndarray  # (n_postings,) term frequencies
     k1: float = 1.2
     b: float = 0.75
-    # Per-document term frequencies, derived from postings; kept for scoring.
-    doc_tfs: list[dict[int, int]] = field(default_factory=list, repr=False)
-    _arrays: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
+    term_idf: np.ndarray = field(init=False, repr=False)
+    norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.doc_tfs:
-            self.doc_tfs = [{} for _ in range(self.n_docs)]
-            for token in sorted(self.postings):
-                for ordinal, tf in self.postings[token]:
-                    self.doc_tfs[ordinal][token] = tf
+        dfs = np.diff(self.offsets).tolist()
+        self.term_idf = np.array([_idf(self.n_docs, df) for df in dfs], dtype=np.float64)
+        dl = np.asarray(self.doc_len, dtype=np.float64)
+        # all documents empty: avg_doc_len is 0, and with no postings the
+        # NaN norms are never read
+        with np.errstate(invalid="ignore"):
+            self.norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_len)
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+    def _term(self, token: int) -> int | None:
+        """Row of ``token`` in ``terms``, or None if no document holds it."""
+        i = int(np.searchsorted(self.terms, token))
+        return i if i < len(self.terms) and self.terms[i] == token else None
 
     def idf(self, token: int) -> float:
-        df = len(self.postings.get(token, ()))
-        return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-
-    def _posting_arrays(self, token: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._arrays.get(token)
-        if cached is None:
-            plist = self.postings[token]
-            cached = (
-                np.fromiter((o for o, _ in plist), dtype=np.int64, count=len(plist)),
-                np.fromiter((tf for _, tf in plist), dtype=np.float64, count=len(plist)),
-            )
-            self._arrays[token] = cached
-        return cached
+        i = self._term(token)
+        return _idf(self.n_docs, 0 if i is None else int(self.offsets[i + 1] - self.offsets[i]))
 
 
 def build_index(corpus: Corpus, vocab: Vocabulary, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
     """Index document bodies (not summaries). Deterministic."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    postings: dict[int, list[tuple[int, int]]] = {}
-    doc_len: list[int] = []
-    for ordinal, doc in enumerate(corpus.documents):
-        ids = tokenize(doc.text, vocab)
-        doc_len.append(len(ids))
-        for token, tf in sorted(Counter(ids).items()):
-            postings.setdefault(token, []).append((ordinal, tf))
-    postings = {t: postings[t] for t in sorted(postings)}
+    token_lists = [tokenize(doc.text, vocab) for doc in corpus.documents]
+    doc_len = [len(ids) for ids in token_lists]
+    n_docs = len(corpus)
+    tokens = np.fromiter(chain.from_iterable(token_lists), dtype=np.int64, count=sum(doc_len))
+    owners = np.repeat(np.arange(n_docs), doc_len)
+    # one key per token occurrence; the sorted distinct keys are the
+    # postings in (token, ordinal) order, and their counts the frequencies
+    keys, tfs = np.unique(tokens * n_docs + owners, return_counts=True)
+    terms, starts = np.unique(keys // n_docs, return_index=True)
     return Bm25Index(
-        postings=postings,
+        doc_ids=[d.id for d in corpus.documents],
         doc_len=doc_len,
         avg_doc_len=sum(doc_len) / len(doc_len),
-        n_docs=len(corpus),
-        doc_ids=[d.id for d in corpus.documents],
+        terms=terms,
+        offsets=np.append(starts, len(keys)),
+        ordinals=keys % n_docs,
+        tfs=tfs,
         k1=k1,
         b=b,
     )
@@ -88,30 +120,38 @@ def bm25_score(index: Bm25Index, query: list[int], doc: int) -> float:
     """
     if not 0 <= doc < index.n_docs:
         raise IndexError(f"doc ordinal {doc} out of range")
-    tf_map = index.doc_tfs[doc]
-    norm = index.k1 * (1.0 - index.b + index.b * index.doc_len[doc] / index.avg_doc_len)
     score = 0.0
     for token, qtf in sorted(Counter(query).items()):
-        tf = tf_map.get(token, 0)
-        if tf == 0:
+        i = index._term(token)
+        if i is None:
             continue
-        score += qtf * index.idf(token) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
+        start, stop = index.offsets[i], index.offsets[i + 1]
+        at = start + np.searchsorted(index.ordinals[start:stop], doc)
+        if at == stop or index.ordinals[at] != doc:
+            continue
+        tf = index.tfs[at]
+        score += qtf * index.term_idf[i] * tf * (index.k1 + 1.0) / (tf + index.norm[doc])
+    return float(score)
 
 
-def _score_all(index: Bm25Index, query_counts: list[tuple[int, int]]) -> np.ndarray:
-    """Scores of every document for a (token, qtf) list, vectorized over the
-    postings of each term. Per-document addition order matches bm25_score."""
-    scores = np.zeros(index.n_docs)
-    dl = np.asarray(index.doc_len, dtype=np.float64)
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avg_doc_len)
-    for token, qtf in query_counts:
-        if token not in index.postings:
-            continue
-        ordinals, tfs = index._posting_arrays(token)
-        contrib = qtf * index.idf(token) * tfs * (index.k1 + 1.0) / (tfs + norm[ordinals])
-        scores[ordinals] += contrib
-    return scores
+def _self_scores(index: Bm25Index, doc: int) -> np.ndarray:
+    """Scores of every document for a query made of ``doc``'s own tokens.
+
+    The query terms are the rows whose postings hold ``doc``, found in
+    ascending token order, and the gather keeps that order.
+    """
+    own = np.flatnonzero(index.ordinals == doc)
+    rows = np.searchsorted(index.offsets, own, side="right") - 1
+    starts = index.offsets[rows]
+    counts = index.offsets[rows + 1] - starts
+    postings = _concat_ranges(starts, counts)
+    ordinals = index.ordinals[postings]
+    tf = index.tfs[postings]
+    contrib = np.repeat(index.tfs[own] * index.term_idf[rows], counts)
+    contrib *= tf
+    contrib *= index.k1 + 1.0
+    contrib /= tf + index.norm[ordinals]
+    return np.bincount(ordinals, weights=contrib, minlength=index.n_docs)
 
 
 def most_similar(index: Bm25Index, doc: int, k: int = 1) -> list[int]:
@@ -123,11 +163,8 @@ def most_similar(index: Bm25Index, doc: int, k: int = 1) -> list[int]:
         raise ValueError("no neighbor exists")
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_counts = sorted(index.doc_tfs[doc].items())
-    scores = _score_all(index, query_counts)
-    candidates = [o for o in range(index.n_docs) if o != doc]
-    candidates.sort(key=lambda o: (-scores[o], o))
-    return candidates[: min(k, index.n_docs - 1)]
+    ranked = np.argsort(-_self_scores(index, doc), kind="stable")
+    return ranked[ranked != doc][:k].tolist()
 
 
 def save_index(index: Bm25Index, path: str | Path) -> None:
@@ -138,56 +175,78 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     n_tokens u32; per token (ascending id): token u32, n_postings u32,
     then (ordinal u32, tf u32) pairs in ascending ordinal order.
     """
-    out = bytearray()
-    out += INDEX_MAGIC
-    out += struct.pack("<dddI", index.k1, index.b, index.avg_doc_len, index.n_docs)
-    for doc_id, dl in zip(index.doc_ids, index.doc_len):
-        raw = doc_id.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw + struct.pack("<I", dl)
-    out += struct.pack("<I", len(index.postings))
-    for token in sorted(index.postings):
-        plist = index.postings[token]
-        out += struct.pack("<II", token, len(plist))
-        for ordinal, tf in plist:
-            out += struct.pack("<II", ordinal, tf)
-    Path(path).write_bytes(bytes(out))
+    head = INDEX_MAGIC + struct.pack("<dddI", index.k1, index.b, index.avg_doc_len, index.n_docs)
+    docs = b"".join(
+        struct.pack("<H", len(raw)) + raw + struct.pack("<I", dl)
+        for raw, dl in zip((d.encode("utf-8") for d in index.doc_ids), index.doc_len)
+    )
+    # the token section as u32 words: the term count, then per term two
+    # header words followed by two words per posting
+    n_terms, counts = len(index.terms), np.diff(index.offsets)
+    words = np.empty(1 + 2 * n_terms + 2 * len(index.ordinals), dtype="<u4")
+    words[0] = n_terms
+    heads = 1 + 2 * np.arange(n_terms) + 2 * index.offsets[:-1]
+    words[heads] = index.terms
+    words[heads + 1] = counts
+    pairs = np.column_stack((index.ordinals, index.tfs))
+    words[_concat_ranges(heads + 2, 2 * counts)] = pairs.ravel()
+    Path(path).write_bytes(head + docs + words.tobytes())
 
 
 def load_index(path: str | Path) -> Bm25Index:
+    """Read a file written by save_index. A file that ends early raises
+    ``ValueError("truncated index file …")``, and one whose postings are
+    out of order or name a document past the last raises ``ValueError``."""
     data = Path(path).read_bytes()
     if data[:8] != INDEX_MAGIC:
         raise ValueError(f"not an index file (bad magic): {path}")
-    off = 8
-    k1, b, avg_doc_len, n_docs = struct.unpack_from("<dddI", data, off)
-    off += struct.calcsize("<dddI")
+    truncated = ValueError(f"truncated index file: {path}")
+
+    def unpack(fmt: str, off: int) -> tuple[tuple, int]:
+        end = off + struct.calcsize(fmt)
+        if end > len(data):
+            raise truncated
+        return struct.unpack_from(fmt, data, off), end
+
+    (k1, b, avg_doc_len, n_docs), off = unpack("<dddI", 8)
     doc_ids: list[str] = []
     doc_len: list[int] = []
     for _ in range(n_docs):
-        (id_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        doc_ids.append(data[off : off + id_len].decode("utf-8"))
-        off += id_len
-        (dl,) = struct.unpack_from("<I", data, off)
-        off += 4
+        (id_len,), start = unpack("<H", off)
+        (dl,), off = unpack("<I", start + id_len)
+        doc_ids.append(data[start : start + id_len].decode("utf-8"))
         doc_len.append(dl)
-    (n_tokens,) = struct.unpack_from("<I", data, off)
-    off += 4
-    postings: dict[int, list[tuple[int, int]]] = {}
-    for _ in range(n_tokens):
-        token, n_post = struct.unpack_from("<II", data, off)
-        off += 8
-        plist = []
-        for _ in range(n_post):
-            ordinal, tf = struct.unpack_from("<II", data, off)
-            off += 8
-            plist.append((ordinal, tf))
-        postings[token] = plist
+    (n_terms,), off = unpack("<I", off)
+    words = np.frombuffer(data, dtype="<u4", count=(len(data) - off) // 4, offset=off)
+    if 2 * n_terms > len(words):
+        raise truncated
+    # each term's header follows the previous term's postings, so finding
+    # the headers takes one step per term
+    heads = np.empty(n_terms, dtype=np.int64)
+    at = 0
+    for i in range(n_terms):
+        if at + 2 > len(words):
+            raise truncated
+        heads[i] = at
+        at += 2 + 2 * int(words[at + 1])
+    if at > len(words):
+        raise truncated
+    terms = words[heads].astype(np.int64)
+    counts = words[heads + 1].astype(np.int64)
+    pairs = words[_concat_ranges(heads + 2, 2 * counts)].reshape(-1, 2)
+    ordinals, tfs = pairs.T.astype(np.int64)
+    # the binary searches and np.bincount in scoring rely on this order
+    keys = np.repeat(terms, counts) * n_docs + ordinals
+    if (ordinals >= n_docs).any() or (np.diff(terms) <= 0).any() or (np.diff(keys) <= 0).any():
+        raise ValueError(f"corrupt index file (postings out of order or range): {path}")
     return Bm25Index(
-        postings=postings,
+        doc_ids=doc_ids,
         doc_len=doc_len,
         avg_doc_len=avg_doc_len,
-        n_docs=n_docs,
-        doc_ids=doc_ids,
+        terms=terms,
+        offsets=np.concatenate(([0], np.cumsum(counts))),
+        ordinals=ordinals,
+        tfs=tfs,
         k1=k1,
         b=b,
     )

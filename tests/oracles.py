@@ -14,6 +14,7 @@ bit for bit, because the seeded training trajectory depends on every bit.
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 
 import mpmath
@@ -55,6 +56,28 @@ def bm25_rank_all(doc_token_lists, query_tokens, exclude=None, k1=1.2, b=0.75):
         scored.append((i, s))
     scored.sort(key=lambda p: (-p[1], p[0]))
     return [i for i, _ in scored]
+
+
+def bm25_index_bytes(doc_ids, doc_token_lists, k1=1.2, b=0.75):
+    """The UMSEIDX1 file for a corpus, written field by field with one
+    struct call per value, as the layout in ``save_index``'s docstring
+    describes it."""
+    lens = [len(tokens) for tokens in doc_token_lists]
+    out = bytearray(b"UMSEIDX1")
+    out += struct.pack("<dddI", k1, b, sum(lens) / len(lens), len(doc_ids))
+    for doc_id, n in zip(doc_ids, lens):
+        raw = doc_id.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<I", n)
+    postings = {}
+    for ordinal, tokens in enumerate(doc_token_lists):
+        for token, tf in sorted(Counter(tokens).items()):
+            postings.setdefault(token, []).append((ordinal, tf))
+    out += struct.pack("<I", len(postings))
+    for token in sorted(postings):
+        out += struct.pack("<II", token, len(postings[token]))
+        for ordinal, tf in postings[token]:
+            out += struct.pack("<II", ordinal, tf)
+    return bytes(out)
 
 
 def average_ranks(values):

@@ -25,6 +25,7 @@ import oracles
 import umse
 from umse.cli import main as cli_main
 from umse.corpus import (
+    CLS_ID,
     Corpus,
     build_vocab,
     gen_synthetic_corpus,
@@ -51,12 +52,12 @@ from umse.metaeval import (
     spearman,
 )
 from umse.model import (
+    InputLayout,
     ModelConfig,
+    forward_batch,
     fuse,
-    get_prefix_bank,
     init_parameters,
     load_checkpoint,
-    permute_prefix,
     prefix_permutation,
     save_checkpoint,
     score,
@@ -348,15 +349,22 @@ def test_criterion_5_desk_scale_learning(tmp_path):
 def test_criterion_6_mechanism_invariants(small_training_setup):
     streams, config = small_training_setup
     params = init_parameters(config)
-    bank = get_prefix_bank(params)
     length = config.prefix_len
+    base, positions = params["prefix_base"], params["pos_emb"][1 : 1 + length]
     failures = []
 
-    for scenario in ("SR", "SD", "SDR"):
-        rows = permute_prefix(bank, scenario)
-        if sorted(map(tuple, rows)) != sorted(map(tuple, bank.base)):
+    # the prefix rows each scenario's input receives, read from the forward
+    # cache; with position rows zeroed they are the bank rows themselves
+    scenarios = ("SR", "SD", "SDR")
+    layouts = [InputLayout(sc, (CLS_ID,) + (-1,) * length + (5,), length) for sc in scenarios]
+    emb = forward_batch(params, config, layouts).emb
+    unpositioned = dict(params, pos_emb=np.zeros_like(params["pos_emb"]))
+    bare = forward_batch(unpositioned, config, layouts).emb
+    for i, scenario in enumerate(scenarios):
+        if sorted(map(tuple, bare[i, 1 : 1 + length])) != sorted(map(tuple, base)):
             failures.append(f"{scenario} prefix rows are not the shared multiset")
-        if not np.array_equal(rows, bank.base[list(prefix_permutation(length, scenario))]):
+        expected = base[list(prefix_permutation(length, scenario))] + positions
+        if not np.array_equal(emb[i, 1 : 1 + length], expected):
             failures.append(f"{scenario} rows disagree with the declared permutation")
     if prefix_permutation(length, "SD") != tuple(range(length)):
         failures.append("SD order is not the identity")

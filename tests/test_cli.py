@@ -4,13 +4,16 @@ reporting, output determinism, and help snapshots."""
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from umse.cli import main
+from umse.cli import _train_defaults, build_parser, main
 from umse.corpus import word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
+from umse.model import ModelConfig
+from umse.training import TrainConfig
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "cli_help"
 
@@ -216,6 +219,62 @@ class TestGendata:
         for name in ("summary_matching.jsonl", "document_matching.jsonl"):
             assert (tmp_path / name).read_bytes() == (ws["data"] / name).read_bytes()
 
+    def test_truncated_index_is_one_line_json_error(self, ws, tmp_path):
+        clipped = tmp_path / "index.bin"
+        clipped.write_bytes(ws["index"].read_bytes()[:-7])
+        code, out, err = run_cli(
+            [
+                "gendata",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--index", clipped,
+                "--out-dir", tmp_path / "data",
+                "--n-pairs", "12",
+            ]
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith("truncated index file")
+
+
+# every train flag that sets a ModelConfig or TrainConfig field
+_TRAIN_SETTINGS = {
+    "hidden_dim", "n_layers", "n_heads", "ffn_dim", "prefix_len", "max_len", "init_seed",
+    "learning_rate", "epochs", "batch_size", "seed", "mode", "scenario", "weight_decay",
+    "clip_norm", "holdout_fraction", "target_accuracy",
+}
+
+
+class TestTrainDefaults:
+    def test_defaults_are_the_config_dataclass_defaults(self):
+        args = build_parser().parse_args(["train", "--corpus", "c", "--vocab", "v"])
+        defaults = _train_defaults(args)
+        assert set(defaults) == _TRAIN_SETTINGS
+        model, train = ModelConfig(vocab_size=4), TrainConfig()
+        for key, value in defaults.items():
+            assert value == getattr(model if hasattr(model, key) else train, key), key
+
+    def test_help_documents_the_defaults(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        _, out, _ = run_cli(["train", "--help"])
+        text = " ".join(out.split("options:")[1].split())
+        documented = re.findall(r"--([\w-]+) \S+ (?:(?!--).)*?\(default ([^)]+)\)", text)
+        assert len(documented) == 15
+        args = build_parser().parse_args(["train", "--corpus", "c", "--vocab", "v"])
+        defaults = _train_defaults(args)
+        for flag, value in documented:
+            assert str(defaults[flag.replace("-", "_")]) == value, flag
+
+    @pytest.mark.parametrize("key", ["dropout", "beta1", "vocab_size", "corpus"])
+    def test_config_keys_without_a_flag_rejected(self, ws, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
+        code, _, err = run_cli(
+            ["train", "--corpus", ws["corpus"], "--vocab", ws["vocab"], "--config", cfg]
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == f"unknown config key: {key}"
+
 
 class TestTrain:
     def test_unified_report_lists_three_scenarios(self, ws):
@@ -257,6 +316,26 @@ class TestTrain:
         )
         assert code == 1
         assert "SD" in json.loads(err)["error"]
+
+    def test_unknown_document_id_is_json_error(self, ws, tmp_path):
+        rows = (ws["data"] / "summary_matching.jsonl").read_text(encoding="utf-8").splitlines()
+        stray = json.loads(rows[0])
+        stray["doc_id"] = "no-such-doc"
+        bad = tmp_path / "summary_matching.jsonl"
+        bad.write_text("\n".join(rows[1:] + [json.dumps(stray)]) + "\n", encoding="utf-8")
+        code, _, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", bad,
+                "--document-matching", ws["data"] / "document_matching.jsonl",
+                *TINY_MODEL_FLAGS,
+                "--epochs", "1",
+            ]
+        )
+        assert code == 1
+        assert json.loads(err) == {"error": "unknown document id: no-such-doc"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_nonzero_with_report(self, ws):

@@ -196,3 +196,10 @@ class TestCorpusJsonl:
         d = make_document("same", "a.", "b.")
         with pytest.raises(ValueError, match="duplicate"):
             Corpus(documents=(d, d))
+
+    def test_ordinal_of(self):
+        corpus = gen_synthetic_corpus(5, 2, rng_seed=4)
+        for i, doc in enumerate(corpus.documents):
+            assert corpus.ordinal_of(doc.id) == i
+        with pytest.raises(KeyError):
+            corpus.ordinal_of("no-such-id")

@@ -16,17 +16,12 @@ from umse.model import (
     _gelu_parts,
     _softmax_last,
     assemble_input,
-    classify,
-    encode,
     forward_batch,
     fuse,
-    get_prefix_bank,
     init_parameters,
     load_checkpoint,
     param_names,
     param_shapes,
-    permute_prefix,
-    pool,
     prefix_permutation,
     save_checkpoint,
     score,
@@ -50,6 +45,14 @@ def small_config(**overrides) -> ModelConfig:
 
 def _ids(*values):
     return tuple(values)
+
+
+def _prefix_rows(params, config, scenario):
+    """The embedding rows a scenario's prefix slots receive, position rows
+    included, from the forward cache."""
+    n = config.prefix_len
+    layout = InputLayout(scenario, (CLS_ID,) + (-1,) * n + (5,), n)
+    return forward_batch(params, config, [layout]).emb[0, 1 : 1 + n]
 
 
 class TestModelConfig:
@@ -97,21 +100,25 @@ class TestPrefixPermutation:
             prefix_permutation(4, "XX")
 
     def test_rows_form_identical_multisets(self):
-        params = init_parameters(small_config())
-        bank = get_prefix_bank(params)
-        base_sorted = np.array(sorted(map(tuple, bank.base)))
+        config = small_config()
+        params = init_parameters(config)
+        # without position rows the slots hold the bank rows themselves
+        params["pos_emb"][:] = 0.0
+        base = params["prefix_base"]
+        base_sorted = np.array(sorted(map(tuple, base)))
         for scenario in ("SR", "SD", "SDR"):
-            rows = permute_prefix(bank, scenario)
-            assert rows.shape == bank.base.shape
+            rows = _prefix_rows(params, config, scenario)
+            assert rows.shape == base.shape
             got = np.array(sorted(map(tuple, rows)))
             assert np.array_equal(got, base_sorted)
 
     def test_permuted_rows_match_positions(self):
-        params = init_parameters(small_config())
-        bank = get_prefix_bank(params)
-        rows = permute_prefix(bank, "SDR")
+        config = small_config()
+        params = init_parameters(config)
+        rows = _prefix_rows(params, config, "SDR")
+        base, pos_emb = params["prefix_base"], params["pos_emb"]
         for out_pos, base_row in enumerate(prefix_permutation(4, "SDR")):
-            assert np.array_equal(rows[out_pos], bank.base[base_row])
+            assert np.array_equal(rows[out_pos], base[base_row] + pos_emb[1 + out_pos])
 
 
 class TestAssembleInput:
@@ -185,8 +192,10 @@ class TestForward:
     def test_encode_shape(self, setup):
         config, params = setup
         layout = assemble_input("SR", _ids(5, 6, 7), _ids(8, 9), None, config)
-        h = encode(params, config, layout)
-        assert h.shape == (layout.length, config.hidden_dim)
+        cache = forward_batch(params, config, [layout])
+        assert cache.h_enc.shape == (1, layout.length, config.hidden_dim)
+        assert cache.pooled.shape == (1, config.hidden_dim)
+        assert cache.probs.shape == (1, 2)
 
     def test_inference_bit_deterministic(self, setup):
         config, params = setup
@@ -197,8 +206,8 @@ class TestForward:
     def test_prefix_order_changes_representation(self, setup):
         config, params = setup
         ids = (CLS_ID, -1, -1, -1, -1, 5, 6, SEP_ID, 10)
-        h_sd = encode(params, config, InputLayout("SD", ids, 4))
-        h_sdr = encode(params, config, InputLayout("SDR", ids, 4))
+        h_sd = forward_batch(params, config, [InputLayout("SD", ids, 4)]).h_enc
+        h_sdr = forward_batch(params, config, [InputLayout("SDR", ids, 4)]).h_enc
         assert not np.allclose(h_sd, h_sdr)
 
     def test_batch_partner_does_not_leak(self, setup):
@@ -222,36 +231,49 @@ class TestForward:
     def test_pool_matches_brute_force(self, setup):
         config, params = setup
         layout = assemble_input("SD", _ids(5, 6, 7), None, _ids(10, 11), config)
-        h = encode(params, config, layout)
-        pooled = pool(h, layout)
+        longer = assemble_input("SD", _ids(5, 6, 7), None, tuple(range(10, 30)), config)
+        cache = forward_batch(params, config, [layout, longer])
+        h = cache.h_enc[0]
         include = [i for i, v in enumerate(layout.ids) if v != -1]
         brute = sum(h[i] for i in include) / len(include)
-        assert np.allclose(pooled, brute, atol=1e-15)
+        assert np.allclose(cache.pooled[0], brute, atol=1e-15)
 
-    def test_pool_of_constant_rows(self):
-        layout = InputLayout("SR", (CLS_ID, -1, -1, 5, SEP_ID, 8), 2)
-        h = np.zeros((6, 4))
-        h[[0, 3, 4, 5]] = np.array([1.0, 2.0, 3.0, 4.0])
-        h[[1, 2]] = 99.0  # prefix rows must not contribute
-        assert np.array_equal(pool(h, layout), [1.0, 2.0, 3.0, 4.0])
+    def test_pool_of_constant_rows(self, setup):
+        config, _ = setup
+        params = init_parameters(config)
+        # a zero gain leaves every encoder row, prefix rows included, at beta
+        params["final_ln.gamma"][:] = 0.0
+        params["final_ln.beta"][:] = np.arange(1.0, 1.0 + config.hidden_dim)
+        layout = InputLayout("SR", (CLS_ID, -1, -1, -1, -1, 5, SEP_ID, 8), 4)
+        longer = assemble_input("SR", tuple(range(4, 24)), _ids(25, 26), None, config)
+        cache = forward_batch(params, config, [layout, longer])
+        padding = [False] * (longer.length - layout.length)
+        assert cache.pool_mask[0].tolist() == [True] + [False] * 4 + [True] * 3 + padding
+        assert cache.pool_counts[0] == 4
+        assert np.array_equal(cache.pooled[0], params["final_ln.beta"])
 
     def test_classify_probabilities(self, setup):
         config, params = setup
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            out = classify(params, rng.normal(size=config.hidden_dim))
-            assert abs(out.p[0] + out.p[1] - 1.0) < 1e-6
-            assert 0.0 <= out.score <= 1.0
+        layouts = [
+            assemble_input("SDR", _ids(5 + i, 6), _ids(8, 9 + i), _ids(10, 11, 12 + i), config)
+            for i in range(20)
+        ]
+        probs = forward_batch(params, config, layouts).probs
+        assert probs.shape == (20, 2)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-6)
+        assert np.all((0.0 <= probs) & (probs <= 1.0))
 
     def test_classify_saturation_and_symmetry(self, setup):
         config, _ = setup
         params = init_parameters(config)
         params["head.w3"][:] = 0.0
         params["head.b3"][:] = 0.0
-        out = classify(params, np.ones(config.hidden_dim))
-        assert out.p == (0.5, 0.5) and out.score == 0.5
+        layout = assemble_input("SR", _ids(5, 6), _ids(8,), None, config)
+        probs = forward_batch(params, config, [layout]).probs
+        assert probs[0].tolist() == [0.5, 0.5]
+        assert score(params, config, "SR", _ids(5, 6), _ids(8,), None).score == 0.5
         params["head.b3"][:] = (0.0, 20.0)
-        assert classify(params, np.ones(config.hidden_dim)).score > 0.999
+        assert forward_batch(params, config, [layout]).probs[0, 1] > 0.999
 
     def test_score_range_and_scenarios(self, setup):
         config, params = setup
