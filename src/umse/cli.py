@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import math
 import platform
 import sys
 import time
@@ -121,6 +122,8 @@ def _field(row: dict, name: str, lineno: int) -> str:
     value = row.get(name)
     if value is None:
         raise ValueError(f"input line {lineno}: missing field {name!r}")
+    if not isinstance(value, str):
+        raise ValueError(f"input line {lineno}: field {name!r} must be a string")
     return value
 
 
@@ -316,13 +319,27 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_score(value, lineno: int) -> float:
+    """A JSON number that is finite; booleans, strings, lists and the
+    NaN and Infinity that Python's json module accepts are refused."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"scores line {lineno}: score must be a finite number, got {value!r}")
+    return number
+
+
 def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
     out = []
     for lineno, row in _read_jsonl_rows(path):
         for key in ("doc_id", "system_id", "score"):
             if key not in row:
                 raise ValueError(f"scores line {lineno}: missing field {key!r}")
-        out.append((row["doc_id"], row["system_id"], float(row["score"])))
+        out.append((row["doc_id"], row["system_id"], _finite_score(row["score"], lineno)))
     return out
 
 

@@ -22,16 +22,20 @@ DIMENSIONS = ("coherence", "consistency", "fluency", "relevance")
 
 
 def _rank_average(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; a run of equal values gets the mean of its span."""
+    """1-based ranks; a run of equal values gets the mean of its span.
+
+    One stable sort and two binary searches, O(n log n): each sorted
+    value finds the first and last sorted positions of its run, and the
+    run gets ``(first + last) / 2.0 + 1.0``, the same float expression on
+    the same integers as a loop over the runs would use, so every rank
+    keeps its bits.
+    """
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.searchsorted(ordered, ordered, "left")
+    last = np.searchsorted(ordered, ordered, "right") - 1
     ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = (first + last) / 2.0 + 1.0
     return ranks
 
 
@@ -42,6 +46,8 @@ def _check_vectors(xs, ys, min_n: int):
         raise ValueError("inputs must be 1-d and of equal length")
     if len(x) < min_n:
         raise ValueError(f"need at least {min_n} observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("undefined correlation for constant input")
     return x, y
@@ -56,18 +62,76 @@ def spearman(xs, ys) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
+def _tied_pairs(new_run: np.ndarray) -> int:
+    """Pairs within runs of a sorted sequence; ``new_run[k]`` says whether
+    element k + 1 starts a new run."""
+    bounds = np.flatnonzero(np.r_[True, new_run, True])
+    lengths = np.diff(bounds)
+    return int((lengths * (lengths - 1) // 2).sum())
+
+
+def _count_inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], by bottom-up merge sort.
+
+    At each level the sequence is sorted within blocks of ``width``; each
+    right block counts, for each of its elements, the left-block elements
+    above it, then the two merge. Tagging each value with its merged block,
+    ``block * span + rank``, lets one searchsorted and one sort handle every
+    block of a level at once. The sort is a stable one of presorted runs,
+    so it merges them; log2(n) levels of O(n) work each.
+    """
+    n = len(ranks)
+    span = int(ranks.max()) + 1
+    pos = np.arange(n)
+    values = ranks.astype(np.int64)
+    inversions = 0
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        keys = block * span + values
+        is_left = pos % (2 * width) < width
+        left_keys = keys[is_left]
+        right = ~is_left
+        # a block with a right half has a full left half, so the left
+        # halves of blocks 0..b end at (b + 1) * width in left_keys
+        left_end = (block[right] + 1) * width
+        inversions += int((left_end - np.searchsorted(left_keys, keys[right], "right")).sum())
+        values = np.sort(keys, kind="stable") - block * span
+        width *= 2
+    return inversions
+
+
 def kendall_tau(xs, ys) -> float:
     """tau-b over all pairs: (C - D) / sqrt((C+D+Tx)(C+D+Ty)), where Tx
-    counts pairs tied in x but not y and Ty the reverse."""
+    counts pairs tied in x but not y and Ty the reverse.
+
+    Knight's O(n log n) algorithm (Knight 1966, JASA 61:436), in O(n)
+    memory. After sorting the pairs by (x, y), runs give n1 pairs tied in
+    x and n3 tied in both; a pair i < j is discordant exactly when y falls,
+    so D is the number of inversions of y, counted by merge sort; runs in
+    sorted y give n2. Then C + D = n0 - n1 - n2 + n3, Tx = n1 - n3 and
+    Ty = n2 - n3. All counts are exact Python ints, equal to the ones an
+    enumeration of all pairs gives, so the closing float expression and
+    its result keep their bits; Python ints also keep the product under
+    the square root exact past the int64 range (n above about 77,000).
+    """
     x, y = _check_vectors(xs, ys, min_n=3)
-    iu = np.triu_indices(len(x), k=1)
-    sx = np.sign(x[:, None] - x[None, :])[iu]
-    sy = np.sign(y[:, None] - y[None, :])[iu]
-    prod = sx * sy
-    concordant = int((prod > 0).sum())
-    discordant = int((prod < 0).sum())
-    tied_x_only = int(((sx == 0) & (sy != 0)).sum())
-    tied_y_only = int(((sy == 0) & (sx != 0)).sum())
+    n = len(x)
+    order = np.lexsort((y, x))
+    x = x[order]
+    y = y[order]
+    new_x = x[1:] != x[:-1]
+    tied_x = _tied_pairs(new_x)
+    tied_both = _tied_pairs(new_x | (y[1:] != y[:-1]))
+    y_sorted = np.sort(y)
+    new_y = y_sorted[1:] != y_sorted[:-1]
+    tied_y = _tied_pairs(new_y)
+    # dense ranks of y, so that equal values never count as an inversion
+    y_ranks = np.searchsorted(y_sorted[np.r_[True, new_y]], y)
+    discordant = _count_inversions(y_ranks)
+    concordant = n * (n - 1) // 2 - tied_x - tied_y + tied_both - discordant
+    tied_x_only = tied_x - tied_both
+    tied_y_only = tied_y - tied_both
     denom = math.sqrt(
         (concordant + discordant + tied_x_only)
         * (concordant + discordant + tied_y_only)
@@ -186,18 +250,28 @@ def rouge_n(candidate, reference, n: int) -> tuple[float, float, float]:
 
 
 def _lcs_length(a, b) -> int:
+    """Length of a longest common subsequence, by the bit-parallel method
+    of Allison and Dix (1986, IPL 23:305).
+
+    Bit k of ``v`` stands for position k of the shorter sequence; one
+    big-int step per token of the longer one, O(mn / w) word operations
+    for machine words of w bits. The count of zero bits left in ``v`` is
+    the exact LCS length, the same integer the O(mn) table gives. Tokens
+    must be hashable.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
-    for i in range(1, len(a) + 1):
-        cur = [0] * (len(b) + 1)
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
+    match: dict = {}
+    for k, token in enumerate(b):
+        match[token] = match.get(token, 0) | (1 << k)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        bits = match.get(token)
+        if bits:
+            u = v & bits
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate, reference) -> tuple[float, float, float]:
@@ -390,7 +464,7 @@ def read_annotations_jsonl(
                     summary=row["summary"],
                     ratings={k: float(v) for k, v in row["ratings"].items()},
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed annotation line {lineno}: {exc}") from exc
             for dim, value in ann.ratings.items():
                 if not low <= value <= high:

@@ -136,6 +136,77 @@ def kendall_tau_b_bruteforce(xs, ys):
     return (concordant - discordant) / denom
 
 
+def kendall_tau_sign_matrix(xs, ys):
+    """tau-b from full n x n sign matrices: O(n^2) time and memory. The
+    exact counts and closing expression the library's kernel must match
+    to the last bit."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    iu = np.triu_indices(len(x), k=1)
+    sx = np.sign(x[:, None] - x[None, :])[iu]
+    sy = np.sign(y[:, None] - y[None, :])[iu]
+    prod = sx * sy
+    concordant = int((prod > 0).sum())
+    discordant = int((prod < 0).sum())
+    tied_x_only = int(((sx == 0) & (sy != 0)).sum())
+    tied_y_only = int(((sy == 0) & (sx != 0)).sum())
+    denom = math.sqrt(
+        (concordant + discordant + tied_x_only)
+        * (concordant + discordant + tied_y_only)
+    )
+    return (concordant - discordant) / denom
+
+
+def kendall_tau_rowwise(xs, ys):
+    """The same counts one row of the pair matrix at a time: O(n^2) time
+    but O(n) memory, so it reaches sizes the sign matrices cannot."""
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    concordant = discordant = tied_x_only = tied_y_only = 0
+    for i in range(len(x) - 1):
+        sx = np.sign(x[i + 1 :] - x[i])
+        sy = np.sign(y[i + 1 :] - y[i])
+        prod = sx * sy
+        concordant += int((prod > 0).sum())
+        discordant += int((prod < 0).sum())
+        tied_x_only += int(((sx == 0) & (sy != 0)).sum())
+        tied_y_only += int(((sy == 0) & (sx != 0)).sum())
+    denom = math.sqrt(
+        (concordant + discordant + tied_x_only)
+        * (concordant + discordant + tied_y_only)
+    )
+    return (concordant - discordant) / denom
+
+
+def rank_average_loop(values):
+    """Average ranks of a numpy vector by a loop over the runs of its
+    stable sort, with the library's float expression for each run."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def lcs_length_table(a, b):
+    """LCS length from the O(mn) dynamic-programming table, row by row."""
+    prev = [0] * (len(b) + 1)
+    for i in range(1, len(a) + 1):
+        cur = [0] * (len(b) + 1)
+        for j in range(1, len(b) + 1):
+            if a[i - 1] == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[len(b)]
+
+
 def t_two_tailed_p_quadrature(t, dof, dps=40):
     """Two-tailed p from direct quadrature of the t density (no beta funcs)."""
     with mpmath.workdps(dps):

@@ -433,6 +433,34 @@ class TestScore:
             assert parsed["metric"] == "rouge1"
             assert parsed["scenario"] is None
 
+    def test_metric_rejects_non_string_text(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text(
+            '{"candidate": "a", "reference": "a"}\n{"candidate": 5, "reference": "a"}\n',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["score", "--inputs", path, "--metric", "rougeL"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "input line 2: field 'candidate' must be a string"
+
+    def test_model_rejects_non_string_text(self, ws, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"candidate": "a b", "reference": ["a"]}\n', encoding="utf-8")
+        code, _, err = run_cli(
+            [
+                "score",
+                "--inputs", path,
+                "--checkpoint", ws["checkpoint"],
+                "--vocab", ws["vocab"],
+                "--scenario", "SR",
+            ]
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "input line 1: field 'reference' must be a string"
+
     def test_metric_requires_reference(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_text('{"candidate": "a"}\n', encoding="utf-8")
@@ -593,6 +621,32 @@ class TestEvaluate:
         code, _, err = run_cli(["evaluate", "--scores", bad, "--annotations", ann_path])
         assert code == 1
         assert json.loads(err)["error"] == "scores line 1: missing field 'system_id'"
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e400", "[1]", "true", '"0.5"', "null"]
+    )
+    def test_score_must_be_a_finite_number(self, tmp_path, literal):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        with open(score_path, "a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "d0", "system_id": "s0", "score": ' + literal + "}\n")
+        code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("scores line 9: score must be a finite number")
+
+    def test_unparseable_rating_names_line(self, tmp_path):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        lines = ann_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[3])
+        row["ratings"]["coherence"] = "abc"
+        lines[3] = json.dumps(row)
+        ann_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed annotation line 4:")
 
     def test_system_level_aggregation(self, tmp_path):
         main_path, _, ann_path = self._signal_noise_fixture(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from umse.metaeval import (
     DimensionResult,
     HumanAnnotation,
     SignificanceEntry,
+    _lcs_length,
+    _rank_average,
     evaluate,
     kendall_tau,
     paired_t_test,
@@ -122,6 +125,116 @@ class TestKendallTau:
     def test_constant_input_rejected(self):
         with pytest.raises(ValueError, match="undefined correlation"):
             kendall_tau([2, 2, 2], [1, 2, 3])
+
+
+def _heavily_tied_pairs(rng, n):
+    """Rating-like vector pairs where ties dominate, one of each kind; the
+    first two entries of each vector differ, so none is constant."""
+
+    def thirds():
+        v = np.round(rng.uniform(1.0, 5.0, size=n) * 3.0) / 3.0
+        v[:2] = (1.0, 5.0)
+        return v
+
+    def levels(k):
+        v = rng.integers(0, k, size=n).astype(float)
+        v[:2] = (0.0, k - 1.0)
+        return v
+
+    x = thirds()
+    yield x, x + rng.normal(0.0, 0.5, size=n)
+    yield thirds(), thirds()
+    almost = np.full(n, 2.0)
+    almost[int(rng.integers(n))] = 3.0
+    yield almost, levels(4)
+    yield levels(4), almost[::-1].copy()
+    # many duplicate (x, y) pairs drawn from a handful of points
+    points = rng.integers(0, 3, size=(4, 2)).astype(float)
+    points[:2] = ((0.0, 0.0), (1.0, 1.0))
+    picks = points[rng.integers(0, 4, size=n)]
+    picks[:2] = points[:2]
+    yield picks[:, 0].copy(), picks[:, 1].copy()
+    yield rng.normal(size=n), rng.normal(size=n)
+
+
+class TestExactKernels:
+    """The O(n log n) kernels return the very bits of the O(n^2) ones."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 31, 64, 65, 127, 200, 333, 500])
+    def test_kendall_equals_sign_matrices_on_tied_vectors(self, n):
+        rng = np.random.default_rng(n)
+        for x, y in _heavily_tied_pairs(rng, n):
+            want = oracles.kendall_tau_sign_matrix(x, y)
+            assert kendall_tau(x, y) == want
+            assert kendall_tau(y, x) == oracles.kendall_tau_sign_matrix(y, x)
+
+    def test_kendall_equals_exhaustive_pairs(self):
+        rng = np.random.default_rng(61)
+        for n in range(3, 40):
+            for x, y in _heavily_tied_pairs(rng, n):
+                assert kendall_tau(x, y) == oracles.kendall_tau_b_bruteforce(x.tolist(), y.tolist())
+
+    def test_kendall_at_scale_in_linear_memory(self):
+        # n x n temporaries at this size would take gigabytes
+        rng = np.random.default_rng(62)
+        n = 20_000
+        x = np.round(rng.uniform(1.0, 5.0, size=n) * 3.0) / 3.0
+        y = np.round((x + rng.normal(0.0, 1.0, size=n)) * 2.0) / 2.0
+        tracemalloc.start()
+        try:
+            got = kendall_tau(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert got == oracles.kendall_tau_rowwise(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 64, 65, 500])
+    def test_rank_average_equals_loop_and_oracle(self, n):
+        rng = np.random.default_rng(70 + n)
+        vectors = [
+            np.round(rng.uniform(1.0, 5.0, size=n) * 3.0) / 3.0,
+            rng.integers(0, 3, size=n).astype(float),
+            np.full(n, 4.0),
+            rng.normal(size=n),
+            np.array([0.0, -0.0] * n)[:n],
+        ]
+        for values in vectors:
+            got = _rank_average(values)
+            assert np.array_equal(got, oracles.rank_average_loop(values))
+            assert np.array_equal(got, np.array(oracles.average_ranks(values.tolist())))
+
+    def test_lcs_edge_cases(self):
+        assert _lcs_length([], []) == 0
+        assert _lcs_length([], ["a"]) == 0
+        assert _lcs_length(["a", "a", "a"], []) == 0
+        assert _lcs_length(["a"] * 100, ["a"] * 70) == 70
+        assert _lcs_length([1, 2, 1, 2], [2, 1, 2, 1]) == 3
+
+    def test_lcs_equals_table_and_recursion_past_64_bits(self):
+        rng = np.random.default_rng(80)
+        for trial in range(60):
+            la, lb = (int(v) for v in rng.integers(0, 201, size=2))
+            k = int(rng.integers(1, 9))
+            a = rng.integers(0, k, size=la).tolist()
+            b = rng.integers(0, k, size=lb).tolist()
+            if trial % 2:
+                a = [f"w{t}" for t in a]
+                b = [f"w{t}" for t in b]
+            want = oracles.lcs_length_table(a, b)
+            assert _lcs_length(a, b) == want
+            assert _lcs_length(b, a) == want
+            assert want == oracles.lcs_length_recursive(tuple(a), tuple(b))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = [1.0, 2.0, 3.0, bad]
+        y = [4.0, 1.0, 2.0, 3.0]
+        for fn in (kendall_tau, spearman):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(x, y)
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(y, x)
 
 
 class TestIncompleteBeta:
@@ -334,6 +447,16 @@ class TestAnnotations:
         path = tmp_path / "anns.jsonl"
         path.write_text('{"nope": 1}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="malformed annotation header"):
+            read_annotations_jsonl(path)
+
+    def test_unparseable_rating_names_line(self, tmp_path):
+        path = tmp_path / "anns.jsonl"
+        write_annotations_jsonl([_make_annotation("d0", "s0", 2.0)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["ratings"]["fluency"] = "abc"
+        path.write_text(lines[0] + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed annotation line 2"):
             read_annotations_jsonl(path)
 
     def test_malformed_row_names_line(self, tmp_path):
