@@ -17,7 +17,6 @@ import argparse
 import ctypes
 import dataclasses
 import json
-import math
 import platform
 import sys
 import time
@@ -45,6 +44,7 @@ from .metaeval import (
     CorrelationReport,
     SignificanceEntry,
     evaluate,
+    finite_number,
     read_annotations_jsonl,
     rouge_l,
     rouge_n,
@@ -292,6 +292,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ValueError("fusion requires scenario SDR")
         params, model_config = load_checkpoint(args.checkpoint)
         vocab = Vocabulary.load(args.vocab)
+        if len(vocab) != model_config.vocab_size:
+            raise ValueError(
+                f"vocab {args.vocab} has {len(vocab)} tokens, "
+                f"but the checkpoint was trained on {model_config.vocab_size}"
+            )
         need_ref = scenario in ("SR", "SDR")
         need_doc = scenario in ("SD", "SDR")
         for lineno, row in rows:
@@ -319,27 +324,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite_score(value, lineno: int) -> float:
-    """A JSON number that is finite; booleans, strings, lists and the
-    NaN and Infinity that Python's json module accepts are refused."""
-    number = math.nan
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not math.isfinite(number):
-        raise ValueError(f"scores line {lineno}: score must be a finite number, got {value!r}")
-    return number
-
-
 def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
     out = []
     for lineno, row in _read_jsonl_rows(path):
         for key in ("doc_id", "system_id", "score"):
             if key not in row:
                 raise ValueError(f"scores line {lineno}: missing field {key!r}")
-        out.append((row["doc_id"], row["system_id"], _finite_score(row["score"], lineno)))
+        score = finite_number(row["score"], f"scores line {lineno}: score")
+        out.append((row["doc_id"], row["system_id"], score))
     return out
 
 

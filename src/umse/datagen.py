@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,13 @@ SUMMARY_MATCHING = "summary_matching"
 DOCUMENT_MATCHING = "document_matching"
 
 _NEIGHBOR_ATTEMPTS = 5
+
+# each index's top-_NEIGHBOR_ATTEMPTS ranking per document, filled on first
+# use; keyed by the index object (compared by identity), and an entry goes
+# when its index does
+_RANKINGS: weakref.WeakKeyDictionary[Bm25Index, dict[int, list[int]]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -49,11 +57,15 @@ class LabeledExample:
 
     def __post_init__(self) -> None:
         if self.kind == SUMMARY_MATCHING:
-            assert self.reference is not None and self.document is None
+            if self.reference is None or self.document is not None:
+                raise ValueError("summary_matching needs a reference and no document")
         elif self.kind == DOCUMENT_MATCHING:
-            assert self.reference is None and self.document is not None
+            if self.reference is not None or self.document is None:
+                raise ValueError("document_matching needs a document and no reference")
         else:
             raise ValueError(f"unknown dataset kind: {self.kind}")
+        if type(self.label) is not int or self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +79,13 @@ class ScenarioExample:
     document: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        needs_ref = self.scenario in ("SR", "SDR")
-        needs_doc = self.scenario in ("SD", "SDR")
-        assert (self.reference is not None) == needs_ref
-        assert (self.document is not None) == needs_doc
+        for name, value, needed in (
+            ("reference", self.reference, self.scenario in ("SR", "SDR")),
+            ("document", self.document, self.scenario in ("SD", "SDR")),
+        ):
+            if (value is not None) != needed:
+                need = "needs a" if needed else "takes no"
+                raise ValueError(f"scenario {self.scenario} {need} {name}")
 
 
 def lead3(doc: Document) -> str:
@@ -82,9 +97,13 @@ def lead3(doc: Document) -> str:
 
 def _pick_neighbor(corpus: Corpus, index: Bm25Index, ordinal: int) -> Document | None:
     """Nearest neighbor whose reference is non-empty and differs from ours;
-    falls back down the ranking, giving up after a few tries."""
+    falls back down the ranking, giving up after a few tries. Each
+    document's ranking is queried once per index and then read back."""
+    rankings = _RANKINGS.setdefault(index, {})
+    if ordinal not in rankings:
+        rankings[ordinal] = most_similar(index, ordinal, k=_NEIGHBOR_ATTEMPTS)
     own_ref = corpus[ordinal].reference_summary
-    for neighbor in most_similar(index, ordinal, k=_NEIGHBOR_ATTEMPTS):
+    for neighbor in rankings[ordinal]:
         candidate = corpus[neighbor]
         if candidate.reference_sentences and candidate.reference_summary != own_ref:
             return candidate
@@ -317,7 +336,7 @@ def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> l
                 out.append(
                     LabeledExample(
                         kind=kind,
-                        label=int(row["label"]),
+                        label=row["label"],
                         candidate=tuple(tokenize(row["candidate"], vocab)),
                         candidate_text=row["candidate"],
                         reference=(
@@ -335,6 +354,6 @@ def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> l
                         negative_strategy=row["negative_strategy"],
                     )
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed dataset line {lineno}: {exc}") from exc
     return out

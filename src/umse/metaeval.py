@@ -442,6 +442,22 @@ def write_annotations_jsonl(
             )
 
 
+def finite_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number. Booleans,
+    strings, lists, null, the NaN and Infinity that Python's json module
+    accepts, and integers too large for a float raise
+    ``ValueError("<what> must be a finite number, got …")``."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def read_annotations_jsonl(
     path: str | Path,
 ) -> tuple[list[HumanAnnotation], tuple[float, float]]:
@@ -449,7 +465,7 @@ def read_annotations_jsonl(
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-            low, high = (float(v) for v in header["rating_scale"])
+            low, high = (finite_number(v, "rating_scale bound") for v in header["rating_scale"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed annotation header: {exc}") from exc
         out: list[HumanAnnotation] = []
@@ -462,7 +478,9 @@ def read_annotations_jsonl(
                     doc_id=row["doc_id"],
                     system_id=row["system_id"],
                     summary=row["summary"],
-                    ratings={k: float(v) for k, v in row["ratings"].items()},
+                    ratings={
+                        k: finite_number(v, f"{k} rating") for k, v in row["ratings"].items()
+                    },
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed annotation line {lineno}: {exc}") from exc

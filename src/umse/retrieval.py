@@ -9,7 +9,9 @@ tokens in ascending id order: ``terms[i]`` is a token id, and its postings
 are ``ordinals[offsets[i]:offsets[i + 1]]`` (document ordinals, ascending)
 with the term frequencies ``tfs`` at the same positions. The idf of every
 term and the length norm of every document are computed once, when the
-index is made.
+index is made, and so is a doc-major view of the postings: ``by_doc`` lists
+the posting positions in (ordinal, token) order, and a document's own
+postings are ``by_doc[doc_offsets[doc]:doc_offsets[doc + 1]]``.
 
 Summation order is part of the contract. A document's score adds one
 contribution per distinct query term, in ascending token order, starting
@@ -62,6 +64,9 @@ class Bm25Index:
     b: float = 0.75
     term_idf: np.ndarray = field(init=False, repr=False)
     norm: np.ndarray = field(init=False, repr=False)
+    denom: np.ndarray = field(init=False, repr=False)  # tf + norm[ordinal], per posting
+    by_doc: np.ndarray = field(init=False, repr=False)  # posting positions, doc-major
+    doc_offsets: np.ndarray = field(init=False, repr=False)  # (n_docs + 1,)
 
     def __post_init__(self) -> None:
         dfs = np.diff(self.offsets).tolist()
@@ -71,6 +76,11 @@ class Bm25Index:
         # NaN norms are never read
         with np.errstate(invalid="ignore"):
             self.norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_len)
+        self.denom = self.tfs + self.norm[self.ordinals]
+        # stable, so each document's postings stay in ascending token order
+        self.by_doc = np.argsort(self.ordinals, kind="stable")
+        per_doc = np.bincount(self.ordinals, minlength=self.n_docs)
+        self.doc_offsets = np.concatenate(([0], np.cumsum(per_doc)))
 
     @property
     def n_docs(self) -> int:
@@ -137,33 +147,40 @@ def bm25_score(index: Bm25Index, query: list[int], doc: int) -> float:
 def _self_scores(index: Bm25Index, doc: int) -> np.ndarray:
     """Scores of every document for a query made of ``doc``'s own tokens.
 
-    The query terms are the rows whose postings hold ``doc``, found in
-    ascending token order, and the gather keeps that order.
+    The query terms are the rows whose postings hold ``doc``, read from the
+    doc-major view in ascending token order, and the gather keeps that order.
     """
-    own = np.flatnonzero(index.ordinals == doc)
+    own = index.by_doc[index.doc_offsets[doc] : index.doc_offsets[doc + 1]]
     rows = np.searchsorted(index.offsets, own, side="right") - 1
     starts = index.offsets[rows]
     counts = index.offsets[rows + 1] - starts
     postings = _concat_ranges(starts, counts)
-    ordinals = index.ordinals[postings]
-    tf = index.tfs[postings]
     contrib = np.repeat(index.tfs[own] * index.term_idf[rows], counts)
-    contrib *= tf
+    contrib *= index.tfs[postings]
     contrib *= index.k1 + 1.0
-    contrib /= tf + index.norm[ordinals]
-    return np.bincount(ordinals, weights=contrib, minlength=index.n_docs)
+    contrib /= index.denom[postings]
+    return np.bincount(index.ordinals[postings], weights=contrib, minlength=index.n_docs)
 
 
 def most_similar(index: Bm25Index, doc: int, k: int = 1) -> list[int]:
     """Top-k neighbors of a document, querying with its own token sequence.
 
     The document itself is excluded; ties break by ascending ordinal.
+
+    Only a prefix of the full stable ranking is sorted: every document
+    scoring at least the (k + 1)-th best score, found by a partition. Those
+    survivors are in ascending ordinal order, so their stable sort is the
+    ranking's first entries, ties and signed zeros ordered as a full stable
+    argsort orders them.
     """
     if index.n_docs < 2:
         raise ValueError("no neighbor exists")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = np.argsort(-_self_scores(index, doc), kind="stable")
+    neg = -_self_scores(index, doc)
+    kth = min(k, index.n_docs - 1)  # k + 1 places, counted from 0, hold k neighbours
+    survivors = np.flatnonzero(neg <= np.partition(neg, kth)[kth])
+    ranked = survivors[np.argsort(neg[survivors], kind="stable")]
     return ranked[ranked != doc][:k].tolist()
 
 

@@ -58,6 +58,30 @@ def bm25_rank_all(doc_token_lists, query_tokens, exclude=None, k1=1.2, b=0.75):
     return [i for i, _ in scored]
 
 
+def most_similar_scan_full_sort(index, doc, k):
+    """Top-k self-query neighbours the way the index first ranked them:
+    find the document's postings by scanning every posting, score every
+    document with the per-posting expression, fully stable-argsort the
+    negated scores and drop the document itself. Reads only the index's
+    plain arrays."""
+    own = np.flatnonzero(index.ordinals == doc)
+    rows = np.searchsorted(index.offsets, own, side="right") - 1
+    starts = index.offsets[rows]
+    counts = index.offsets[rows + 1] - starts
+    postings = np.array(
+        [p for s, c in zip(starts, counts) for p in range(s, s + c)], dtype=np.int64
+    )
+    ordinals = index.ordinals[postings]
+    tf = index.tfs[postings]
+    contrib = np.repeat(index.tfs[own] * index.term_idf[rows], counts)
+    contrib *= tf
+    contrib *= index.k1 + 1.0
+    contrib /= tf + index.norm[ordinals]
+    scores = np.bincount(ordinals, weights=contrib, minlength=len(index.doc_ids))
+    ranked = np.argsort(-scores, kind="stable")
+    return ranked[ranked != doc][:k].tolist()
+
+
 def bm25_index_bytes(doc_ids, doc_token_lists, k1=1.2, b=0.75):
     """The UMSEIDX1 file for a corpus, written field by field with one
     struct call per value, as the layout in ``save_index``'s docstring

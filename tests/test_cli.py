@@ -337,6 +337,28 @@ class TestTrain:
         assert code == 1
         assert json.loads(err) == {"error": "unknown document id: no-such-doc"}
 
+    @pytest.mark.parametrize("field, value", [("label", 2), ("kind", "other")])
+    def test_bad_label_or_kind_is_json_error(self, ws, tmp_path, field, value):
+        rows = (ws["data"] / "document_matching.jsonl").read_text(encoding="utf-8").splitlines()
+        rows[2] = json.dumps({**json.loads(rows[2]), field: value})
+        bad = tmp_path / "document_matching.jsonl"
+        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", ws["data"] / "summary_matching.jsonl",
+                "--document-matching", bad,
+                *TINY_MODEL_FLAGS,
+                "--epochs", "1",
+            ]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed dataset line 3: ")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_nonzero_with_report(self, ws):
         code, out, _ = run_cli(
@@ -374,6 +396,30 @@ class TestScore:
             assert row["fusion"] is None
             assert row["doc_id"].startswith("doc-")
             assert row["system_id"] == "s0"
+
+    @pytest.mark.parametrize("change", ["grow", "shrink"])
+    def test_vocab_must_match_checkpoint(self, ws, tmp_path, change):
+        words = ws["vocab"].read_text(encoding="utf-8").splitlines()
+        words = words + ["zzextra"] if change == "grow" else words[:-1]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(words) + "\n", encoding="utf-8")
+        inputs = tmp_path / "inputs.jsonl"
+        inputs.write_text(
+            json.dumps({"doc_id": "d0", "system_id": "s0", "candidate": "zzextra the",
+                        "reference": "the zzextra"}) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            ["score", "--inputs", inputs, "--checkpoint", ws["checkpoint"],
+             "--vocab", vocab, "--scenario", "SR"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        n = len(words) + 4  # the four special tokens precede the listed words
+        assert json.loads(err)["error"].endswith(
+            f"has {n} tokens, but the checkpoint was trained on {n + (1 if change == 'shrink' else -1)}"
+        )
 
     def _scores(self, ws, *extra):
         out = run_ok(
@@ -647,6 +693,22 @@ class TestEvaluate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"].startswith("malformed annotation line 4:")
+
+    @pytest.mark.parametrize("literal", ['"0.5"', "true", "NaN", "Infinity", "1e400", "null", "[1]"])
+    def test_rating_must_be_a_finite_number(self, tmp_path, literal):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        lines = ann_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[3])
+        row["ratings"]["fluency"] = "RATING"
+        lines[3] = json.dumps(row).replace('"RATING"', literal)
+        ann_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith(
+            "malformed annotation line 4: fluency rating must be a finite number"
+        )
 
     def test_system_level_aggregation(self, tmp_path):
         main_path, _, ann_path = self._signal_noise_fixture(tmp_path)

@@ -1,8 +1,11 @@
 """Training-pair construction tests."""
 
+import json
 import random
 
 import pytest
+
+import umse.datagen as datagen
 
 from umse.corpus import (
     Corpus,
@@ -15,6 +18,8 @@ from umse.corpus import (
 from umse.datagen import (
     DOCUMENT_MATCHING,
     SUMMARY_MATCHING,
+    LabeledExample,
+    ScenarioExample,
     generate_dataset,
     lead3,
     make_document_matching_pair,
@@ -23,7 +28,7 @@ from umse.datagen import (
     to_scenario_examples,
     write_dataset_jsonl,
 )
-from umse.retrieval import build_index
+from umse.retrieval import build_index, most_similar
 
 # chi-square upper critical values at significance 0.01
 _CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345}
@@ -59,6 +64,42 @@ def _two_doc_corpus():
     corpus = Corpus(documents=(a, b), provenance="test")
     vocab = build_vocab(corpus, min_frequency=1)
     return corpus, build_index(corpus, vocab), vocab
+
+
+class TestExampleChecks:
+    """The field checks raise ValueError, so they hold under ``python -O``."""
+
+    @pytest.mark.parametrize(
+        "kind, label, reference, document, match",
+        [
+            (SUMMARY_MATCHING, 1, None, None, "needs a reference"),
+            (SUMMARY_MATCHING, 1, (1,), 0, "needs a reference and no document"),
+            (DOCUMENT_MATCHING, 0, None, None, "needs a document"),
+            (DOCUMENT_MATCHING, 0, (1,), 0, "needs a document and no reference"),
+            ("other", 1, (1,), None, "unknown dataset kind"),
+            (SUMMARY_MATCHING, 2, (1,), None, "label must be 0 or 1"),
+            (DOCUMENT_MATCHING, True, None, 0, "label must be 0 or 1"),
+            (DOCUMENT_MATCHING, "1", None, 0, "label must be 0 or 1"),
+        ],
+    )
+    def test_labeled_example(self, kind, label, reference, document, match):
+        with pytest.raises(ValueError, match=match):
+            LabeledExample(kind, label, (2,), "x", reference, None, document, "d0")
+
+    @pytest.mark.parametrize(
+        "scenario, reference, document, match",
+        [
+            ("SR", None, None, "SR needs a reference"),
+            ("SR", (1,), (2,), "SR takes no document"),
+            ("SD", (1,), (2,), "SD takes no reference"),
+            ("SD", None, None, "SD needs a document"),
+            ("SDR", (1,), None, "SDR needs a document"),
+            ("SDR", None, (2,), "SDR needs a reference"),
+        ],
+    )
+    def test_scenario_example(self, scenario, reference, document, match):
+        with pytest.raises(ValueError, match=match):
+            ScenarioExample(scenario, 1, (3,), reference=reference, document=document)
 
 
 class TestLead3:
@@ -220,6 +261,56 @@ class TestGenerateDataset:
         write_dataset_jsonl(b, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_warm_ranking_memo_writes_identical_bytes(self, tmp_path):
+        corpus = gen_synthetic_corpus(n_docs=30, topic_count=5, rng_seed=12)
+        vocab = build_vocab(corpus, min_frequency=1)
+        index = build_index(corpus, vocab)
+        for kind in (SUMMARY_MATCHING, DOCUMENT_MATCHING):
+            fresh = build_index(corpus, vocab)
+            write_dataset_jsonl(
+                generate_dataset(corpus, fresh, vocab, kind, 40, 12), tmp_path / "fresh.jsonl"
+            )
+            for run in ("cold", "warm"):
+                write_dataset_jsonl(
+                    generate_dataset(corpus, index, vocab, kind, 40, 12), tmp_path / "r.jsonl"
+                )
+                assert (tmp_path / "r.jsonl").read_bytes() == (
+                    tmp_path / "fresh.jsonl"
+                ).read_bytes(), run
+
+    def test_each_document_queried_once(self, monkeypatch):
+        corpus = gen_synthetic_corpus(n_docs=30, topic_count=5, rng_seed=12)
+        vocab = build_vocab(corpus, min_frequency=1)
+        index = build_index(corpus, vocab)
+        queried = []
+
+        def counting(index, doc, k=1):
+            queried.append(doc)
+            return most_similar(index, doc, k)
+
+        monkeypatch.setattr(datagen, "most_similar", counting)
+        for kind in (SUMMARY_MATCHING, DOCUMENT_MATCHING):
+            generate_dataset(corpus, index, vocab, kind, n_pairs=60, rng_seed=5)
+        assert len(queried) == len(set(queried)) == len(corpus)
+
+    def test_rankings_kept_per_index(self):
+        # same size, different corpora: a ranking read back for one index
+        # must never come from another
+        first = gen_synthetic_corpus(n_docs=30, topic_count=5, rng_seed=12)
+        other = gen_synthetic_corpus(n_docs=30, topic_count=5, rng_seed=13)
+        for corpus in (first, other):
+            vocab = build_vocab(corpus, min_frequency=1)
+            index = build_index(corpus, vocab)
+            generate_dataset(corpus, index, vocab, DOCUMENT_MATCHING, n_pairs=30, rng_seed=0)
+            for d in range(len(corpus)):
+                usable = [
+                    corpus[o]
+                    for o in most_similar(index, d, k=datagen._NEIGHBOR_ATTEMPTS)
+                    if corpus[o].reference_sentences
+                    and corpus[o].reference_summary != corpus[d].reference_summary
+                ]
+                assert datagen._pick_neighbor(corpus, index, d) == (usable[0] if usable else None)
+
     def test_seed_changes_output(self, small):
         corpus, index, vocab = small
         a = generate_dataset(corpus, index, vocab, SUMMARY_MATCHING, n_pairs=8, rng_seed=1)
@@ -338,3 +429,27 @@ class TestDatasetJsonl:
         vocab = build_vocab(corpus, min_frequency=1)
         with pytest.raises(ValueError, match="malformed dataset line 2"):
             read_dataset_jsonl(path, corpus, vocab)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label", 2, "label must be 0 or 1, got 2"),
+            ("label", -1, "label must be 0 or 1, got -1"),
+            ("label", 1.0, "label must be 0 or 1, got 1.0"),
+            ("label", "1", "label must be 0 or 1, got '1'"),
+            ("label", True, "label must be 0 or 1, got True"),
+            ("kind", "other", "unknown dataset kind: other"),
+        ],
+    )
+    def test_label_and_kind_checked_on_read(self, tmp_path, field, value, message):
+        row = {
+            "kind": "summary_matching", "label": 1, "candidate": "a.", "reference": "b.",
+            "doc_id": "doc-00000", "negative_strategy": None,
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+        corpus = gen_synthetic_corpus(n_docs=2, topic_count=2, rng_seed=0)
+        vocab = build_vocab(corpus, min_frequency=1)
+        with pytest.raises(ValueError) as err:
+            read_dataset_jsonl(path, corpus, vocab)
+        assert str(err.value) == f"malformed dataset line 2: {message}"

@@ -434,6 +434,18 @@ class TestAnnotations:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert json.loads(first) == {"rating_scale": [1.0, 5.0]}
 
+    @pytest.mark.parametrize("literal", ['"1"', "true", "NaN", "null"])
+    def test_scale_bounds_must_be_finite_numbers(self, tmp_path, literal):
+        path = tmp_path / "anns.jsonl"
+        write_annotations_jsonl([_make_annotation("d0", "s0", 2.0)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = '{"rating_scale": [' + literal + ", 5.0]}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match="malformed annotation header: rating_scale bound must be a finite"
+        ):
+            read_annotations_jsonl(path)
+
     def test_rating_outside_scale_rejected(self, tmp_path):
         path = tmp_path / "anns.jsonl"
         write_annotations_jsonl([_make_annotation("d0", "s0", 9.0)], path, scale=(1.0, 10.0))

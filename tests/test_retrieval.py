@@ -45,6 +45,16 @@ def _postings(index):
     }
 
 
+def _tied_corpus():
+    """Random documents with three planted copies of one of them, an island
+    whose documents tie with each other and score exactly 0.0 against every
+    other document, and an empty document."""
+    texts = [d.text for d in _random_corpus(20, seed=41).documents]
+    texts += [texts[3]] * 3
+    texts += ["x0 x1", "x0 x2", "x0 x3", "x4", ""]
+    return _corpus_of(*texts)
+
+
 def _doc_tokens(index, doc):
     """Distinct tokens of one document, ascending."""
     return sorted(t for t, plist in _postings(index).items() if any(o == doc for o, _ in plist))
@@ -87,6 +97,17 @@ class TestBuildIndex:
             assert len(plist) == brute_df
             for ordinal, tf in plist:
                 assert tf == token_lists[ordinal].count(token)
+
+    def test_doc_major_view_matches_posting_scan(self, tmp_path):
+        corpus = _tied_corpus()
+        index = build_index(corpus, build_vocab(corpus, 1))
+        save_index(index, tmp_path / "x.idx")
+        for idx in (index, load_index(tmp_path / "x.idx")):
+            assert len(idx.doc_offsets) == idx.n_docs + 1
+            for doc in range(idx.n_docs):
+                own = idx.by_doc[idx.doc_offsets[doc] : idx.doc_offsets[doc + 1]]
+                assert np.array_equal(own, np.flatnonzero(idx.ordinals == doc))
+            assert np.array_equal(idx.denom, idx.tfs + idx.norm[idx.ordinals])
 
     def test_summaries_not_indexed(self):
         docs = (make_document("a", "body words here.", "summaryonlyword."),)
@@ -208,6 +229,21 @@ class TestMostSimilar:
             # every other copy of d ties at the top, in ascending ordinal order
             twins = [o for o in range(n) if o != d and texts[o] == texts[d]]
             assert most_similar(index, d, k=len(twins) + 1)[: len(twins)] == twins
+
+    def test_equals_scan_and_full_sort_oracle(self):
+        corpus = _tied_corpus()
+        index = build_index(corpus, build_vocab(corpus, 1))
+        n = index.n_docs
+        ties_at_kth = 0
+        for d in range(n):
+            scores = _self_scores(index, d)
+            full = oracles.most_similar_scan_full_sort(index, d, n)
+            for k in (1, 5, n - 1, n + 3):
+                want = oracles.most_similar_scan_full_sort(index, d, k)
+                assert most_similar(index, d, k) == want
+                ties_at_kth += k < n - 1 and scores[full[k - 1]] == scores[full[k]]
+        # the cut falls inside a run of equal scores for many (doc, k)
+        assert ties_at_kth >= 10
 
 
 class TestAllDocumentScores:
