@@ -332,16 +332,20 @@ def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> l
             try:
                 row = json.loads(line)
                 kind = row["kind"]
-                reference_text = row["reference"]
+                candidate_text, reference_text = row["candidate"], row["reference"]
+                if not isinstance(candidate_text, str):
+                    raise ValueError(f"candidate must be a string, got {candidate_text!r}")
+                if not isinstance(reference_text, (str, type(None))):
+                    raise ValueError(f"reference must be a string, got {reference_text!r}")
                 out.append(
                     LabeledExample(
                         kind=kind,
                         label=row["label"],
-                        candidate=tuple(tokenize(row["candidate"], vocab)),
-                        candidate_text=row["candidate"],
+                        candidate=tuple(tokenize(candidate_text, vocab)),
+                        candidate_text=candidate_text,
                         reference=(
                             tuple(tokenize(reference_text, vocab))
-                            if kind == SUMMARY_MATCHING
+                            if kind == SUMMARY_MATCHING and reference_text is not None
                             else None
                         ),
                         reference_text=reference_text,

@@ -13,7 +13,7 @@ Input templates, prefix after [CLS]:
     SDR  [CLS] P_SDR X [SEP] D [SEP] Y
 
 The encoder is pre-norm with learned positions; pooling is the mean over
-content and special positions (prefix and padding excluded); the head is
+content and special positions (prefix rows excluded); the head is
 three affine layers with tanh after the first two, softmax on two logits,
 and the positive-class probability is the score.
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CLS_ID, PAD_ID, SEP_ID
+from .corpus import CLS_ID, SEP_ID
 
 SCENARIOS = ("SR", "SD", "SDR")
 FUSION_METHODS = ("min", "max", "geometric_mean", "arithmetic_mean")
@@ -375,23 +375,27 @@ def _softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention_probs(scores: np.ndarray, lengths: list[int], scale: float) -> np.ndarray:
-    """Softmax over the keys of ``scores / scale``, in place, where the
-    keys of example ``i`` at and past ``lengths[i]`` (its padding) are
-    masked out. Bit-identical to ``_softmax_last(scores / scale + bias)``
-    with a bias of 0 on real keys and -1e30 on padding: exp underflows to
-    exactly 0 on every masked key, so those are set to 0 rather than
-    computed, the row maximum always falls on a real key, and adding 0.0
-    only flips the sign of a zero, which the exp does not see. Runs one
-    example at a time, which keeps its block in cache."""
-    for block, length in zip(scores, lengths):
-        real = block[..., :length]
-        real /= scale
-        real -= real.max(axis=-1, keepdims=True)
-        np.exp(real, out=real)
-        block[..., length:] = 0.0
-        block /= block.sum(axis=-1, keepdims=True)
+def _attention_probs(scores: np.ndarray, scale: float) -> np.ndarray:
+    """Softmax over the keys of ``scores / scale``, in place."""
+    scores /= scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
     return scores
+
+
+def _heads(x: np.ndarray, rows: slice, n_heads: int) -> np.ndarray:
+    """One example's rows of a packed ``(ΣL, z)`` array as a
+    ``(1, n_heads, L, z // n_heads)`` view, the layout its attention runs on."""
+    seg = x[rows]
+    return seg.reshape(1, len(seg), n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _head_row(params: dict[str, np.ndarray], pooled: np.ndarray):
+    """The classifier head on one pooled row, shaped ``(1, z)``."""
+    a1 = np.tanh(pooled @ params["head.w1"] + params["head.b1"])
+    a2 = np.tanh(a1 @ params["head.w2"] + params["head.b2"])
+    return a1, a2, a2 @ params["head.w3"] + params["head.b3"]
 
 
 @dataclass
@@ -402,7 +406,7 @@ class LayerCache:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
-    attn: np.ndarray
+    attn: list[np.ndarray]  # per example, (1, heads, L, L)
     ctx: np.ndarray
     a_in: np.ndarray
     h_mid: np.ndarray
@@ -416,10 +420,14 @@ class LayerCache:
 
 @dataclass
 class ForwardCache:
+    """Intermediates of ``forward_batch``. Every per-position array is
+    packed: it holds the rows of all examples back to back, ``(ΣL, ...)``,
+    and example ``i`` owns the rows ``segment(i)``."""
+
     layouts: list[InputLayout]
-    ids: np.ndarray  # (B, T) with -1 prefix slots and PAD fill
-    pool_mask: np.ndarray  # (B, T) True where pooled
-    pool_counts: np.ndarray  # (B,)
+    offsets: np.ndarray  # (B + 1,) first packed row of each example, then ΣL
+    ids: np.ndarray  # (ΣL,) vocabulary ids, -1 on prefix slots
+    pool_counts: np.ndarray  # (B,) rows pooled per example
     emb: np.ndarray
     layers: list[LayerCache] = field(default_factory=list)
     h_pre_final: np.ndarray | None = None
@@ -432,70 +440,80 @@ class ForwardCache:
     logits: np.ndarray | None = None
     probs: np.ndarray | None = None
 
+    def segment(self, i: int) -> slice:
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    def pool_mask(self, i: int) -> np.ndarray:
+        """True on the rows of example ``i`` that pooling averages."""
+        return self.ids[self.segment(i)] != _PREFIX_SLOT
+
 
 def forward_batch(
     params: dict[str, np.ndarray], config: ModelConfig, layouts: list[InputLayout]
 ) -> ForwardCache:
-    """Encode, pool and classify a batch; returns the full cache. Batch
-    rows are padded to the longest layout; padding is excluded from both
-    attention and pooling, so extra padding never shifts a score."""
+    """Encode, pool and classify a batch; returns the full cache.
+
+    The batch is packed without padding: the examples' rows are concatenated
+    into one ``(ΣL, z)`` array, so every embedding gather, projection, layer
+    norm, GELU and residual runs once over real rows only. Attention runs
+    per example on its own rows, so no example sees another. The head runs
+    one example at a time.
+
+    An example's probabilities are therefore the same bits alone and in any
+    batch, as long as row i of ``A @ W`` does not depend on A's other rows
+    for two or more rows (true of OpenBLAS's gemm; a lone row takes gemv,
+    which rounds differently, which is why the head is never batched).
+    """
     if not layouts:
         raise ValueError("empty batch")
-    n = len(layouts)
-    t = max(layout.length for layout in layouts)
     z = config.hidden_dim
     heads = config.n_heads
-    dh = z // heads
+    scale = np.sqrt(z // heads)
 
-    ids = np.full((n, t), PAD_ID, dtype=np.int64)
-    pool_mask = np.zeros((n, t), dtype=bool)
-    emb = np.empty((n, t, z))
-    tok_emb = params["tok_emb"]
-    pos_emb = params["pos_emb"]
+    offsets = np.zeros(len(layouts) + 1, dtype=np.int64)
+    np.cumsum([layout.length for layout in layouts], out=offsets[1:])
+    ids = np.concatenate([np.asarray(layout.ids, dtype=np.int64) for layout in layouts])
     prefix_base = params["prefix_base"]
-    for i, layout in enumerate(layouts):
-        ln = layout.length
-        row = np.asarray(layout.ids, dtype=np.int64)
-        ids[i, :ln] = row
-        pool_mask[i, :ln] = row != _PREFIX_SLOT
-        content = np.where(row == _PREFIX_SLOT, 0, row)
-        emb[i, :ln] = tok_emb[content]
+    pos_emb = params["pos_emb"]
+    emb = params["tok_emb"][np.where(ids == _PREFIX_SLOT, 0, ids)]
+    cache = ForwardCache(
+        layouts=list(layouts), offsets=offsets, ids=ids,
+        pool_counts=np.empty(len(layouts)), emb=emb,
+    )
+    segments = [cache.segment(i) for i in range(len(layouts))]
+    for rows, layout in zip(segments, layouts):
         if layout.n_prefix:
             perm = prefix_permutation(len(prefix_base), layout.scenario)
-            emb[i, 1 : 1 + layout.n_prefix] = prefix_base[list(perm)]
-        emb[i, ln:] = tok_emb[PAD_ID]
-    emb = emb + pos_emb[:t]
+            emb[rows.start + 1 : rows.start + 1 + layout.n_prefix] = prefix_base[list(perm)]
+        emb[rows] += pos_emb[: layout.length]
 
-    cache = ForwardCache(
-        layouts=list(layouts),
-        ids=ids,
-        pool_mask=pool_mask,
-        pool_counts=pool_mask.sum(axis=1).astype(float),
-        emb=emb,
-    )
-
-    lengths = [layout.length for layout in layouts]
     h = emb
     for l in range(config.n_layers):
         p = lambda s: params[f"layer{l}.{s}"]  # noqa: E731
         a_in, xhat1, invstd1 = _layer_norm(h, p("attn_ln.gamma"), p("attn_ln.beta"))
-        # (n*t, z) views keep every projection a single GEMM
-        a_flat = np.ascontiguousarray(a_in).reshape(n * t, z)
-        q = (a_flat @ p("attn.wq") + p("attn.bq")).reshape(n, t, heads, dh).transpose(0, 2, 1, 3)
-        k = (a_flat @ p("attn.wk")).reshape(n, t, heads, dh).transpose(0, 2, 1, 3)
-        v = (a_flat @ p("attn.wv") + p("attn.bv")).reshape(n, t, heads, dh).transpose(0, 2, 1, 3)
-        attn = _attention_probs(q @ k.transpose(0, 1, 3, 2), lengths, np.sqrt(dh))
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n, t, z)
-        h_mid = h + (ctx.reshape(n * t, z) @ p("attn.wo") + p("attn.bo")).reshape(n, t, z)
+        q = a_in @ p("attn.wq")
+        q += p("attn.bq")
+        k = a_in @ p("attn.wk")
+        v = a_in @ p("attn.wv")
+        v += p("attn.bv")
+        ctx = np.empty_like(a_in)
+        attn = []
+        for rows in segments:
+            kt = _heads(k, rows, heads).transpose(0, 1, 3, 2)
+            probs = _attention_probs(_heads(q, rows, heads) @ kt, scale)
+            np.matmul(probs, _heads(v, rows, heads), out=_heads(ctx, rows, heads))
+            attn.append(probs)
+        # x + h is h + x bit for bit, so residuals are added in place
+        h_mid = ctx @ p("attn.wo")
+        h_mid += p("attn.bo")
+        h_mid += h
         f_in, xhat2, invstd2 = _layer_norm(h_mid, p("ffn_ln.gamma"), p("ffn_ln.beta"))
-        f_flat = np.ascontiguousarray(f_in).reshape(n * t, z)
-        u1 = f_flat @ p("ffn.w1")
+        u1 = f_in @ p("ffn.w1")
         u1 += p("ffn.b1")
-        u1 = u1.reshape(n, t, config.ffn_dim)
         act, gelu_t = _gelu_parts(u1)
-        h_out = h_mid + (
-            act.reshape(n * t, config.ffn_dim) @ p("ffn.w2") + p("ffn.b2")
-        ).reshape(n, t, z)
+        h_out = act @ p("ffn.w2")
+        h_out += p("ffn.b2")
+        h_out += h_mid
         cache.layers.append(
             LayerCache(
                 h_in=h, ln1_xhat=xhat1, ln1_invstd=invstd1, q=q, k=k, v=v,
@@ -513,11 +531,14 @@ def forward_batch(
     if not np.isfinite(h_enc).all():
         raise FloatingPointError("numerical divergence")
 
-    pooled = (h_enc * pool_mask[:, :, None]).sum(axis=1) / cache.pool_counts[:, None]
+    pooled = np.empty((len(layouts), z))
+    for i, rows in enumerate(segments):
+        mask = cache.pool_mask(i)
+        cache.pool_counts[i] = mask.sum()
+        pooled[i] = (h_enc[rows] * mask[:, None]).sum(axis=0) / cache.pool_counts[i]
     cache.pooled = pooled
-    a1 = np.tanh(pooled @ params["head.w1"] + params["head.b1"])
-    a2 = np.tanh(a1 @ params["head.w2"] + params["head.b2"])
-    logits = a2 @ params["head.w3"] + params["head.b3"]
+    heads_out = [_head_row(params, pooled[i : i + 1]) for i in range(len(layouts))]
+    a1, a2, logits = (np.concatenate(parts) for parts in zip(*heads_out))
     if not np.isfinite(logits).all():
         raise FloatingPointError("numerical divergence")
     cache.head_a1, cache.head_a2 = a1, a2
@@ -587,21 +608,50 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        (config_len,) = struct.unpack("<I", fh.read(4))
-        config = ModelConfig.from_json(fh.read(config_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n_items = int(np.prod(shape)) if ndim else 1
-            payload = fh.read(8 * n_items)
-            if len(payload) != 8 * n_items:
-                raise ValueError(f"truncated checkpoint: {path}")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    """Read a file written by save_checkpoint. Every read is bounds-checked,
+    and the parameters must be exactly those of ``param_shapes(config)``:
+    a file that ends early, carries an unreadable config, or holds a
+    missing, unknown, repeated or misshapen parameter raises ``ValueError``."""
+    data = Path(path).read_bytes()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"not a checkpoint file: {path}")
+
+    def take(size: int, off: int) -> tuple[bytes, int]:
+        if off + size > len(data):
+            raise ValueError(f"truncated checkpoint: {path}")
+        return data[off : off + size], off + size
+
+    def unpack(fmt: str, off: int) -> tuple[tuple, int]:
+        raw, off = take(struct.calcsize(fmt), off)
+        return struct.unpack(fmt, raw), off
+
+    def corrupt(what: str) -> ValueError:
+        return ValueError(f"corrupt checkpoint {path}: {what}")
+
+    (config_len,), off = unpack("<I", len(CHECKPOINT_MAGIC))
+    blob, off = take(config_len, off)
+    try:
+        config = ModelConfig.from_json(blob.decode("utf-8"))
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+        raise corrupt(f"unreadable config ({exc})") from exc
+    shapes = param_shapes(config)
+    (count,), off = unpack("<I", off)
+    params: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,), off = unpack("<H", off)
+        raw, off = take(name_len, off)
+        (ndim,), off = unpack("<B", off)
+        shape, off = unpack(f"<{ndim}I", off)
+        name = raw.decode("utf-8", errors="replace")
+        if name not in shapes or name in params:
+            raise corrupt(f"unexpected parameter {name!r}")
+        if shape != shapes[name]:
+            raise corrupt(f"parameter {name} has shape {shape}, the config needs {shapes[name]}")
+        payload, off = take(8 * int(np.prod(shape)), off)
+        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    missing = sorted(set(shapes) - set(params))
+    if missing:
+        raise corrupt(f"missing parameter {missing[0]!r}")
+    if off != len(data):
+        raise corrupt(f"{len(data) - off} bytes after the last parameter")
     return params, config

@@ -27,6 +27,7 @@ from .model import (
     InputLayout,
     ModelConfig,
     _gelu_grad,
+    _heads,
     _row_chunks,
     _rows,
     _rows_per_chunk,
@@ -36,10 +37,10 @@ from .model import (
     param_names,
     prefix_permutation,
     save_checkpoint,
+    score,
 )
 
 _CLAMP = 1.0e-12
-_EVAL_BATCH = 32
 
 MODES = ("unified", "joint_no_prefix", "single_scenario")
 
@@ -131,11 +132,11 @@ def example_layout(
 
 
 def _ln_backward(dy, xhat, invstd, gamma):
-    """Layer-norm gradients; the input gradient is
+    """Layer-norm gradients over packed rows; the input gradient is
     ``invstd * (dxhat - m1 - xhat * m2)``, evaluated in place."""
     prod = dy * xhat
-    dgamma = prod.sum(axis=(0, 1))
-    dbeta = dy.sum(axis=(0, 1))
+    dgamma = prod.sum(axis=0)
+    dbeta = dy.sum(axis=0)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = np.multiply(dxhat, xhat, out=prod).mean(axis=-1, keepdims=True)
@@ -201,10 +202,10 @@ def backward(
                 g[grads.rows[name]] = 0.0
             else:
                 g.fill(0.0)
-    n, t, z = cache.emb.shape
+    n = len(batch)
+    z = config.hidden_dim
     heads = config.n_heads
-    hd = z // heads
-    ffn = config.ffn_dim
+    segments = [cache.segment(i) for i in range(n)]
 
     # softmax cross-entropy collapses to probs minus one-hot targets
     dlogits = cache.probs.copy()
@@ -222,72 +223,70 @@ def backward(
     grads["head.b1"] += du1.sum(axis=0)
     dpooled = du1 @ params["head.w1"].T
 
-    dh_enc = dpooled[:, None, :] * cache.pool_mask[:, :, None] / cache.pool_counts[:, None, None]
+    # every pooled (non-prefix) row of an example gets its share of the
+    # pooled gradient
+    content = cache.ids >= 0
+    dh_enc = np.repeat(dpooled / cache.pool_counts[:, None], np.diff(cache.offsets), axis=0)
+    dh_enc *= content[:, None]
     dh, dg, db = _ln_backward(
         dh_enc, cache.final_xhat, cache.final_invstd, params["final_ln.gamma"]
     )
     grads["final_ln.gamma"] += dg
     grads["final_ln.beta"] += db
 
+    scale = 1.0 / np.sqrt(z // heads)
     for l in reversed(range(config.n_layers)):
         lc = cache.layers[l]
         pre = f"layer{l}."
 
         dh_mid = dh.copy()
-        dh_flat = dh.reshape(-1, z)
-        grads[pre + "ffn.w2"] += lc.act.reshape(-1, ffn).T @ dh_flat
-        grads[pre + "ffn.b2"] += dh.sum(axis=(0, 1))
-        dact = (dh_flat @ params[pre + "ffn.w2"].T).reshape(n, t, ffn)
-        du = _gelu_grad(lc.u1, lc.gelu_t, upstream=dact)
-        grads[pre + "ffn.w1"] += lc.f_in.reshape(-1, z).T @ du.reshape(-1, ffn)
-        grads[pre + "ffn.b1"] += du.sum(axis=(0, 1))
-        df_in = (du.reshape(-1, ffn) @ params[pre + "ffn.w1"].T).reshape(n, t, z)
-        dx, dg, db = _ln_backward(df_in, lc.ln2_xhat, lc.ln2_invstd, params[pre + "ffn_ln.gamma"])
+        grads[pre + "ffn.w2"] += lc.act.T @ dh
+        grads[pre + "ffn.b2"] += dh.sum(axis=0)
+        du = _gelu_grad(lc.u1, lc.gelu_t, upstream=dh @ params[pre + "ffn.w2"].T)
+        grads[pre + "ffn.w1"] += lc.f_in.T @ du
+        grads[pre + "ffn.b1"] += du.sum(axis=0)
+        dx, dg, db = _ln_backward(
+            du @ params[pre + "ffn.w1"].T, lc.ln2_xhat, lc.ln2_invstd, params[pre + "ffn_ln.gamma"]
+        )
         grads[pre + "ffn_ln.gamma"] += dg
         grads[pre + "ffn_ln.beta"] += db
         dh_mid += dx
 
         dh = dh_mid.copy()  # residual into the block input
-        dmid_flat = dh_mid.reshape(-1, z)
-        grads[pre + "attn.wo"] += lc.ctx.reshape(-1, z).T @ dmid_flat
-        grads[pre + "attn.bo"] += dh_mid.sum(axis=(0, 1))
-        dctx = (dmid_flat @ params[pre + "attn.wo"].T).reshape(n, t, heads, hd).transpose(0, 2, 1, 3)
-        dattn = dctx @ lc.v.transpose(0, 1, 3, 2)
-        dv = lc.attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = _softmax_backward(lc.attn, dattn)
-        scale = 1.0 / np.sqrt(hd)
-        dq = dscores @ lc.k
+        grads[pre + "attn.wo"] += lc.ctx.T @ dh_mid
+        grads[pre + "attn.bo"] += dh_mid.sum(axis=0)
+        dctx = dh_mid @ params[pre + "attn.wo"].T
+        dq, dk, dv = np.empty_like(dctx), np.empty_like(dctx), np.empty_like(dctx)
+        for rows, attn in zip(segments, lc.attn):
+            q, k, v, dc = (_heads(x, rows, heads) for x in (lc.q, lc.k, lc.v, dctx))
+            dscores = _softmax_backward(attn, dc @ v.transpose(0, 1, 3, 2))
+            np.matmul(attn.transpose(0, 1, 3, 2), dc, out=_heads(dv, rows, heads))
+            np.matmul(dscores, k, out=_heads(dq, rows, heads))
+            np.matmul(dscores.transpose(0, 1, 3, 2), q, out=_heads(dk, rows, heads))
         dq *= scale
-        dk = dscores.transpose(0, 1, 3, 2) @ lc.q
         dk *= scale
-        dq_f = dq.transpose(0, 2, 1, 3).reshape(n, t, z)
-        dk_f = dk.transpose(0, 2, 1, 3).reshape(n, t, z)
-        dv_f = dv.transpose(0, 2, 1, 3).reshape(n, t, z)
-        a_flat = lc.a_in.reshape(-1, z)
-        grads[pre + "attn.wq"] += a_flat.T @ dq_f.reshape(-1, z)
-        grads[pre + "attn.bq"] += dq_f.sum(axis=(0, 1))
-        grads[pre + "attn.wk"] += a_flat.T @ dk_f.reshape(-1, z)
-        grads[pre + "attn.wv"] += a_flat.T @ dv_f.reshape(-1, z)
-        grads[pre + "attn.bv"] += dv_f.sum(axis=(0, 1))
-        da_in = (
-            dq_f.reshape(-1, z) @ params[pre + "attn.wq"].T
-            + dk_f.reshape(-1, z) @ params[pre + "attn.wk"].T
-            + dv_f.reshape(-1, z) @ params[pre + "attn.wv"].T
-        ).reshape(n, t, z)
+        grads[pre + "attn.wq"] += lc.a_in.T @ dq
+        grads[pre + "attn.bq"] += dq.sum(axis=0)
+        grads[pre + "attn.wk"] += lc.a_in.T @ dk
+        grads[pre + "attn.wv"] += lc.a_in.T @ dv
+        grads[pre + "attn.bv"] += dv.sum(axis=0)
+        da_in = dq @ params[pre + "attn.wq"].T
+        da_in += dk @ params[pre + "attn.wk"].T
+        da_in += dv @ params[pre + "attn.wv"].T
         dx, dg, db = _ln_backward(da_in, lc.ln1_xhat, lc.ln1_invstd, params[pre + "attn_ln.gamma"])
         grads[pre + "attn_ln.gamma"] += dg
         grads[pre + "attn_ln.beta"] += db
         dh += dx
 
-    grads["pos_emb"][:t] += dh.sum(axis=0)
-    content = cache.ids >= 0  # pad tail rows carry exactly zero gradient
+    for rows, layout in zip(segments, cache.layouts):
+        grads["pos_emb"][: layout.length] += dh[rows]
+        if layout.n_prefix:
+            perm = prefix_permutation(layout.n_prefix, layout.scenario)
+            first = rows.start + 1
+            grads["prefix_base"][list(perm)] += dh[first : first + layout.n_prefix]
     grads.rows = {"tok_emb": np.unique(cache.ids[content])}
     # one scatter, example by example in position order, as a loop would add
     np.add.at(grads["tok_emb"], cache.ids[content], dh[content])
-    for i, layout in enumerate(cache.layouts):
-        if layout.n_prefix:
-            perm = prefix_permutation(layout.n_prefix, layout.scenario)
-            grads["prefix_base"][list(perm)] += dh[i, 1 : 1 + layout.n_prefix]
 
     for name, g in grads.items():
         if name in grads.rows:
@@ -298,13 +297,20 @@ def backward(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Global-norm clipping, in place; returns the pre-clip norm. The norm
-    sums every element, so it does not depend on ``Gradients.rows``; the
-    rescale skips the rows that are known to be zero."""
-    total = float(np.sqrt(sum(float((g**2).sum()) for g in grads.values())))
+    """Global-norm clipping, in place; returns the pre-clip norm. A table
+    listed in ``Gradients.rows`` is read and rescaled on those rows only,
+    since every other row is exactly zero."""
+    rows = getattr(grads, "rows", {})
+    total = float(
+        np.sqrt(
+            sum(
+                float(np.square(g[rows[name]] if name in rows else g).sum())
+                for name, g in grads.items()
+            )
+        )
+    )
     if total > max_norm and total > 0.0:
         factor = max_norm / total
-        rows = getattr(grads, "rows", {})
         for name, g in grads.items():
             if name in rows:
                 g[rows[name]] *= factor
@@ -395,17 +401,15 @@ def evaluate_accuracy(
     examples: list[ScenarioExample],
     use_prefix: bool = True,
 ) -> float:
-    """Fraction of examples whose positive-class probability falls on the
-    label's side of 0.5."""
+    """Fraction of examples whose score falls on the label's side of 0.5.
+    Examples are scored one at a time: the packed forward gives the same
+    bits in any batch, and a batch of one is the fastest way through it."""
     if not examples:
         raise ValueError("no examples to evaluate")
     correct = 0
-    for start in range(0, len(examples), _EVAL_BATCH):
-        chunk = examples[start : start + _EVAL_BATCH]
-        layouts = [example_layout(ex, config, use_prefix) for ex in chunk]
-        cache = forward_batch(params, config, layouts)
-        predicted = (cache.probs[:, 1] >= 0.5).astype(int)
-        correct += int(sum(p == ex.label for p, ex in zip(predicted, chunk)))
+    for ex in examples:
+        s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document, use_prefix)
+        correct += int((s.score >= 0.5) == bool(ex.label))
     return correct / len(examples)
 
 

@@ -308,3 +308,71 @@ def adamw_step_dense(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1.0
         v[name] += (1.0 - beta2) * g * g
         step = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
         params[name] -= lr * (step + weight_decay * params[name])
+
+
+def _layer_norm_dense(x, gamma, beta, eps=1.0e-5):
+    invstd = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    return (x - x.mean(axis=-1, keepdims=True)) * invstd * gamma + beta
+
+
+def _prefix_order(n, scenario):
+    """The documented prefix orders: SD identity, SDR even then odd bank
+    rows, SR reversed."""
+    if scenario == "SD":
+        return list(range(n))
+    if scenario == "SDR":
+        return list(range(0, n, 2)) + list(range(1, n, 2))
+    return list(range(n - 1, -1, -1))
+
+
+def forward_padded(params, layouts, n_heads, pad_id=2):
+    """Class probabilities of a batch computed the way the encoder did before
+    it packed its batches: every example padded to the longest with the
+    [PAD] embedding, a -1e30 key bias keeping padding out of attention, and
+    mean pooling under a (B, T) mask of the real non-prefix positions.
+    Dense numpy expressions throughout. ``layouts`` need ``ids`` (-1 on the
+    prefix slots), ``n_prefix`` and ``scenario``; ``params`` is the model's
+    parameter dictionary."""
+    n = len(layouts)
+    t = max(len(layout.ids) for layout in layouts)
+    z = params["tok_emb"].shape[1]
+    dh = z // n_heads
+    n_layers = sum(1 for name in params if name.endswith(".attn.wq"))
+    tok_emb, prefix_base = params["tok_emb"], params["prefix_base"]
+
+    emb = np.empty((n, t, z))
+    mask = np.zeros((n, t), dtype=bool)
+    bias = np.zeros((n, 1, 1, t))
+    for i, layout in enumerate(layouts):
+        row = np.asarray(layout.ids)
+        length = len(row)
+        emb[i, :length] = tok_emb[np.where(row < 0, 0, row)]
+        if layout.n_prefix:
+            order = _prefix_order(len(prefix_base), layout.scenario)
+            emb[i, 1 : 1 + layout.n_prefix] = prefix_base[order]
+        emb[i, length:] = tok_emb[pad_id]
+        mask[i, :length] = row >= 0
+        bias[i, ..., length:] = -1.0e30
+    h = emb + params["pos_emb"][:t]
+
+    def split(x):
+        return x.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    for l in range(n_layers):
+        p = lambda s: params[f"layer{l}.{s}"]  # noqa: E731
+        a = _layer_norm_dense(h, p("attn_ln.gamma"), p("attn_ln.beta")).reshape(n * t, z)
+        q = split(a @ p("attn.wq") + p("attn.bq"))
+        k = split(a @ p("attn.wk"))
+        v = split(a @ p("attn.wv") + p("attn.bv"))
+        attn = softmax_last_dense(q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias)
+        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(n * t, z)
+        h = h + (ctx @ p("attn.wo") + p("attn.bo")).reshape(n, t, z)
+        f = _layer_norm_dense(h, p("ffn_ln.gamma"), p("ffn_ln.beta")).reshape(n * t, z)
+        act = gelu_parts_dense(f @ p("ffn.w1") + p("ffn.b1"))[0]
+        h = h + (act @ p("ffn.w2") + p("ffn.b2")).reshape(n, t, z)
+    h = _layer_norm_dense(h, params["final_ln.gamma"], params["final_ln.beta"])
+
+    pooled = (h * mask[:, :, None]).sum(axis=1) / mask.sum(axis=1).astype(float)[:, None]
+    a1 = np.tanh(pooled @ params["head.w1"] + params["head.b1"])
+    a2 = np.tanh(a1 @ params["head.w2"] + params["head.b2"])
+    return softmax_last_dense(a2 @ params["head.w3"] + params["head.b3"])

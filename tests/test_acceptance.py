@@ -357,14 +357,15 @@ def test_criterion_6_mechanism_invariants(small_training_setup):
     # cache; with position rows zeroed they are the bank rows themselves
     scenarios = ("SR", "SD", "SDR")
     layouts = [InputLayout(sc, (CLS_ID,) + (-1,) * length + (5,), length) for sc in scenarios]
-    emb = forward_batch(params, config, layouts).emb
+    cache = forward_batch(params, config, layouts)
     unpositioned = dict(params, pos_emb=np.zeros_like(params["pos_emb"]))
-    bare = forward_batch(unpositioned, config, layouts).emb
+    bare = forward_batch(unpositioned, config, layouts)
     for i, scenario in enumerate(scenarios):
-        if sorted(map(tuple, bare[i, 1 : 1 + length])) != sorted(map(tuple, base)):
+        prefix_rows = slice(cache.segment(i).start + 1, cache.segment(i).start + 1 + length)
+        if sorted(map(tuple, bare.emb[prefix_rows])) != sorted(map(tuple, base)):
             failures.append(f"{scenario} prefix rows are not the shared multiset")
         expected = base[list(prefix_permutation(length, scenario))] + positions
-        if not np.array_equal(emb[i, 1 : 1 + length], expected):
+        if not np.array_equal(cache.emb[prefix_rows], expected):
             failures.append(f"{scenario} rows disagree with the declared permutation")
     if prefix_permutation(length, "SD") != tuple(range(length)):
         failures.append("SD order is not the identity")

@@ -7,12 +7,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from umse.cli import _train_defaults, build_parser, main
 from umse.corpus import word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
-from umse.model import ModelConfig
+from umse.model import ModelConfig, init_parameters, save_checkpoint
 from umse.training import TrainConfig
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "cli_help"
@@ -359,6 +360,39 @@ class TestTrain:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"].startswith("malformed dataset line 3: ")
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("summary_matching", "candidate", 5),
+            ("summary_matching", "candidate", None),
+            ("summary_matching", "reference", 5),
+            ("summary_matching", "reference", None),
+            ("document_matching", "candidate", ["a"]),
+            ("document_matching", "reference", 5),
+        ],
+    )
+    def test_non_string_text_is_json_error(self, ws, tmp_path, kind, field, value):
+        rows = (ws["data"] / f"{kind}.jsonl").read_text(encoding="utf-8").splitlines()
+        rows[2] = json.dumps({**json.loads(rows[2]), field: value})
+        paths = {k: ws["data"] / f"{k}.jsonl" for k in ("summary_matching", "document_matching")}
+        paths[kind] = tmp_path / f"{kind}.jsonl"
+        paths[kind].write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", paths["summary_matching"],
+                "--document-matching", paths["document_matching"],
+                *TINY_MODEL_FLAGS,
+                "--epochs", "1",
+            ]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("malformed dataset line 3: ")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_nonzero_with_report(self, ws):
         code, out, _ = run_cli(
@@ -554,6 +588,70 @@ def _write_scores(path, triples):
             fh.write(
                 json.dumps({"doc_id": doc_id, "system_id": system_id, "score": value}) + "\n"
             )
+
+
+class TestCheckpointFile:
+    """Every malformed checkpoint ends ``umse score`` with exit 1 and one
+    JSON line on standard error, before any row is scored."""
+
+    CONFIG = ModelConfig(
+        vocab_size=4, hidden_dim=2, n_layers=1, n_heads=1, ffn_dim=2,
+        prefix_len=1, max_len=5, mlp_dims=(2, 2, 2),
+    )
+
+    def _error(self, ws, path):
+        code, out, err = run_cli(
+            ["score", "--inputs", ws["inputs"], "--checkpoint", path,
+             "--vocab", ws["vocab"], "--scenario", "SR"]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        return json.loads(err)["error"]
+
+    def _saved(self, tmp_path, params):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, self.CONFIG, path)
+        return path
+
+    def test_every_truncation_is_json_error(self, ws, tmp_path):
+        data = self._saved(tmp_path, init_parameters(self.CONFIG)).read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for end in range(len(data)):
+            cut.write_bytes(data[:end])
+            error = self._error(ws, cut)
+            expected = "not a checkpoint file" if end < 9 else "truncated checkpoint"
+            assert error.startswith(expected), (end, error)
+
+    def test_missing_parameter(self, ws, tmp_path):
+        params = init_parameters(self.CONFIG)
+        del params["head.w1"]
+        error = self._error(ws, self._saved(tmp_path, params))
+        assert error.endswith("missing parameter 'head.w1'")
+
+    def test_extra_parameter(self, ws, tmp_path):
+        params = init_parameters(self.CONFIG)
+        params["head.w4"] = np.zeros((2, 2))
+        error = self._error(ws, self._saved(tmp_path, params))
+        assert error.endswith("unexpected parameter 'head.w4'")
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 2, 1), (4,)])
+    def test_misshapen_parameter(self, ws, tmp_path, shape):
+        params = init_parameters(self.CONFIG)
+        params["head.w1"] = np.zeros(shape)
+        error = self._error(ws, self._saved(tmp_path, params))
+        assert error.endswith(f"parameter head.w1 has shape {shape}, the config needs (2, 2)")
+
+    def test_trailing_bytes(self, ws, tmp_path):
+        path = self._saved(tmp_path, init_parameters(self.CONFIG))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert self._error(ws, path).endswith("1 bytes after the last parameter")
+
+    @pytest.mark.parametrize("blob", [b"{", b"[]", b'{"vocab_size": 4}', b"\xff"])
+    def test_unreadable_config(self, ws, tmp_path, blob):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"UMSECKPT1" + len(blob).to_bytes(4, "little") + blob)
+        assert "unreadable config" in self._error(ws, path)
 
 
 class TestEvaluate:

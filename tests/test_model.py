@@ -52,7 +52,8 @@ def _prefix_rows(params, config, scenario):
     included, from the forward cache."""
     n = config.prefix_len
     layout = InputLayout(scenario, (CLS_ID,) + (-1,) * n + (5,), n)
-    return forward_batch(params, config, [layout]).emb[0, 1 : 1 + n]
+    cache = forward_batch(params, config, [layout])
+    return cache.emb[cache.segment(0)][1 : 1 + n]
 
 
 class TestModelConfig:
@@ -193,7 +194,7 @@ class TestForward:
         config, params = setup
         layout = assemble_input("SR", _ids(5, 6, 7), _ids(8, 9), None, config)
         cache = forward_batch(params, config, [layout])
-        assert cache.h_enc.shape == (1, layout.length, config.hidden_dim)
+        assert cache.h_enc[cache.segment(0)].shape == (layout.length, config.hidden_dim)
         assert cache.pooled.shape == (1, config.hidden_dim)
         assert cache.probs.shape == (1, 2)
 
@@ -233,7 +234,7 @@ class TestForward:
         layout = assemble_input("SD", _ids(5, 6, 7), None, _ids(10, 11), config)
         longer = assemble_input("SD", _ids(5, 6, 7), None, tuple(range(10, 30)), config)
         cache = forward_batch(params, config, [layout, longer])
-        h = cache.h_enc[0]
+        h = cache.h_enc[cache.segment(0)]
         include = [i for i, v in enumerate(layout.ids) if v != -1]
         brute = sum(h[i] for i in include) / len(include)
         assert np.allclose(cache.pooled[0], brute, atol=1e-15)
@@ -247,8 +248,7 @@ class TestForward:
         layout = InputLayout("SR", (CLS_ID, -1, -1, -1, -1, 5, SEP_ID, 8), 4)
         longer = assemble_input("SR", tuple(range(4, 24)), _ids(25, 26), None, config)
         cache = forward_batch(params, config, [layout, longer])
-        padding = [False] * (longer.length - layout.length)
-        assert cache.pool_mask[0].tolist() == [True] + [False] * 4 + [True] * 3 + padding
+        assert cache.pool_mask(0).tolist() == [True] + [False] * 4 + [True] * 3
         assert cache.pool_counts[0] == 4
         assert np.array_equal(cache.pooled[0], params["final_ln.beta"])
 
@@ -291,6 +291,78 @@ class TestForward:
                 score(params, config, "SR", _ids(5, 6), _ids(8,), None)
 
 
+def _desk_setup(n_rows, seed=5):
+    """The default 64-wide, 4-head, 2-layer encoder with perturbed
+    parameters, and layouts of every scenario with lengths spread over
+    several hundred tokens."""
+    config = ModelConfig(vocab_size=500, init_seed=seed)
+    params = init_parameters(config)
+    rng = np.random.default_rng(seed)
+    for name in params:
+        params[name] += rng.normal(scale=0.05, size=params[name].shape)
+
+    def draw(lo, hi):
+        return tuple(int(v) for v in rng.integers(4, 500, size=int(rng.integers(lo, hi))))
+
+    layouts = [
+        assemble_input(sc, draw(1, 140), draw(1, 60), draw(1, 300), config)
+        for sc in ("SR", "SD", "SDR") * (n_rows // 3)
+    ]
+    return config, params, layouts
+
+
+class TestPacking:
+    def test_mixed_length_batches_match_padded_oracle(self):
+        config, params, layouts = _desk_setup(24)
+        for start in range(0, len(layouts), 8):
+            batch = layouts[start : start + 8]
+            assert len({layout.length for layout in batch}) == len(batch)
+            packed = forward_batch(params, config, batch).probs
+            padded = oracles.forward_padded(params, batch, config.n_heads)
+            assert np.allclose(packed, padded, rtol=0, atol=1e-12)
+
+    def test_one_row_equals_padded_oracle_exactly(self):
+        config, params, layouts = _desk_setup(12)
+        for layout in layouts:
+            packed = forward_batch(params, config, [layout]).probs
+            padded = oracles.forward_padded(params, [layout], config.n_heads)
+            assert packed.tobytes() == padded.tobytes()
+
+    def test_probabilities_are_batch_invariant(self):
+        """A row's probabilities are the same bytes alone and inside batches
+        of any order and size.
+
+        This relies on one property of the BLAS numpy links: row i of
+        ``A @ W`` does not depend on A's other rows whenever A has two or
+        more rows (OpenBLAS's gemm computes each output row the same way
+        wherever it sits). A lone row takes gemv, which rounds differently,
+        so the head runs one row at a time in every batch. A BLAS without
+        the property fails this test; the test is not to be loosened.
+        """
+        config, params, layouts = _desk_setup(24)
+        alone = [forward_batch(params, config, [layout]).probs.tobytes() for layout in layouts]
+        rng = np.random.default_rng(0)
+        for size in (2, 3, 5, 8, 13, 24):
+            for _ in range(2):
+                pick = rng.permutation(len(layouts))[:size]
+                probs = forward_batch(params, config, [layouts[j] for j in pick]).probs
+                for row, j in zip(probs, pick):
+                    assert row[None].tobytes() == alone[j]
+
+    def test_segments_tile_the_packed_rows(self, setup):
+        config, params = setup
+        layouts = [
+            assemble_input("SR", _ids(5, 6), _ids(8,), None, config),
+            assemble_input("SDR", tuple(range(4, 24)), _ids(25, 26), _ids(9, 10, 11), config),
+            assemble_input("SD", _ids(7,), None, _ids(12,), config),
+        ]
+        cache = forward_batch(params, config, layouts)
+        assert cache.h_enc.shape == (sum(layout.length for layout in layouts), config.hidden_dim)
+        for i, layout in enumerate(layouts):
+            assert cache.ids[cache.segment(i)].tolist() == list(layout.ids)
+            assert cache.pool_counts[i] == layout.length - layout.n_prefix
+
+
 class TestKernelsMatchDenseExpressions:
     """The chunked, in-place kernels equal their dense expressions bit for
     bit; the seeded training trajectory relies on it."""
@@ -301,20 +373,16 @@ class TestKernelsMatchDenseExpressions:
         assert np.array_equal(_softmax_last(x), oracles.softmax_last_dense(x))
         assert np.array_equal(_softmax_last(x.T), oracles.softmax_last_dense(x.T))
 
-    def test_attention_probs_match_masked_dense_softmax(self):
+    def test_attention_probs_match_dense_softmax(self):
         rng = np.random.default_rng(2)
-        n, heads, t = 5, 4, 91
-        lengths = [91, 60, 1, 17, 90]
-        scores = rng.normal(scale=8.0, size=(n, heads, t, t))
-        scores[0, 0, 0, :4] = 0.0  # signed zeros after scaling
-        scores[0, 0, 1, :4] = -0.0
         scale = np.sqrt(16)
-        bias = np.zeros((n, 1, 1, t))
-        for i, length in enumerate(lengths):
-            bias[i, ..., length:] = -1.0e30
-        expected = oracles.softmax_last_dense(scores / scale + bias)
-        got = _attention_probs(scores.copy(), lengths, scale)
-        assert np.array_equal(got, expected)
+        for t in (1, 17, 91):
+            scores = rng.normal(scale=8.0, size=(1, 4, t, t))
+            scores[0, 0, 0, :4] = 0.0  # signed zeros after scaling
+            scores[0, 1, 0, :4] = -0.0
+            expected = oracles.softmax_last_dense(scores / scale)
+            got = _attention_probs(scores.copy(), scale)
+            assert np.array_equal(got, expected)
 
     # larger than one chunk, with row widths that do not divide it
     @pytest.mark.parametrize("shape", [(9,), (6, 130, 64), (3, 50, 257)])

@@ -153,6 +153,39 @@ class TestBackward:
         untouched = np.setdiff1d(np.arange(config.vocab_size), reused.rows["tok_emb"])
         assert np.all(reused["tok_emb"][untouched] == 0.0)
 
+    def test_packed_batch_gradient_is_the_sum_of_its_examples(self):
+        """No cross-contamination: a packed batch of mixed scenarios and
+        lengths has the summed loss and gradients of its examples run one
+        by one."""
+        config = tiny_config()
+        params = init_parameters(config)
+        rng = np.random.default_rng(8)
+        params = {name: p + rng.normal(scale=0.05, size=p.shape) for name, p in params.items()}
+
+        def draw(k):
+            return tuple(int(v) for v in rng.integers(4, config.vocab_size, size=k))
+
+        batch = [
+            ScenarioExample(
+                sc, j % 2, draw(int(rng.integers(1, 9))),
+                reference=draw(int(rng.integers(1, 12))) if sc in ("SR", "SDR") else None,
+                document=draw(int(rng.integers(1, 20))) if sc in ("SD", "SDR") else None,
+            )
+            for j, sc in enumerate(("SR", "SD", "SDR") * 3)
+        ]
+        loss, packed = backward(params, config, batch)
+        total = 0.0
+        summed = {name: np.zeros_like(p) for name, p in params.items()}
+        for ex in batch:
+            one_loss, grads = backward(params, config, [ex])
+            total += one_loss
+            for name in summed:
+                summed[name] += grads[name]
+        assert loss == pytest.approx(total, rel=1e-12)
+        for name in summed:
+            assert np.allclose(packed[name], summed[name], rtol=0, atol=1e-12), name
+        assert float(np.abs(packed["prefix_base"]).sum()) > 0.0
+
     def test_softmax_backward_matches_dense_expression(self):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(83), size=(6, 4, 83))
@@ -256,6 +289,20 @@ class TestOptimizer:
         assert clip_gradients(sparse, 1.0) == clip_gradients(dense, 1.0)
         for name in dense:
             assert np.array_equal(sparse[name], dense[name])
+
+    def test_clip_reads_only_touched_rows(self):
+        rng = np.random.default_rng(9)
+        dense = {"tok_emb": np.zeros((25000, 64)), "w": rng.normal(size=(64, 64))}
+        rows = np.unique(rng.integers(0, 25000, size=400))
+        dense["tok_emb"][rows] = rng.normal(size=(len(rows), 64))
+        sparse = Gradients({name: g.copy() for name, g in dense.items()})
+        sparse.rows = {"tok_emb": rows}
+        expected = math.sqrt(sum(float((g**2).sum()) for g in dense.values()))
+        norm = clip_gradients(sparse, 1.0)
+        assert norm == pytest.approx(expected, rel=1e-12, abs=0)
+        factor = 1.0 / norm
+        for name, g in dense.items():
+            assert np.array_equal(sparse[name], g * factor)
 
     def test_clip_rescales_only_above_threshold(self):
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
