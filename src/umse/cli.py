@@ -79,12 +79,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _check_config_value(flag: argparse.Action, value, default) -> None:
+    """A config-file value must be what the flag of the same name accepts:
+    an integer for ``type=int``, any number for ``type=float``, a string for
+    an untyped flag, one of its choices if it has them, and null only where
+    the default is None. Booleans are never numbers."""
+    if value is None and default is None:
+        return
+    kind = flag.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(
+            f"malformed config file: {flag.dest} must be {kind.__name__}, got {value!r}"
+        )
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(
+            f"malformed config file: {flag.dest} must be one of "
+            f"{', '.join(flag.choices)}, got {value!r}"
+        )
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, then config-file values, then explicitly passed flags."""
     merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -94,6 +113,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         for key in sorted(loaded):
             if key not in defaults:
                 raise ValueError(f"unknown config key: {key}")
+            _check_config_value(args.flags[key], loaded[key], defaults[key])
         merged.update(loaded)
     for key in defaults:
         value = getattr(args, key)
@@ -193,55 +213,37 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _settings(cls, args: argparse.Namespace) -> list[dataclasses.Field]:
+    """The fields of ``cls`` that have a train flag of the same name."""
+    return [f for f in dataclasses.fields(cls) if hasattr(args, f.name)]
+
+
 def _train_defaults(args: argparse.Namespace) -> dict:
     """Defaults of the train settings: the field defaults of ModelConfig and
     TrainConfig that have a flag of the same name."""
-    return {
-        f.name: f.default
-        for cls in (ModelConfig, TrainConfig)
-        for f in dataclasses.fields(cls)
-        if hasattr(args, f.name)
-    }
+    return {f.name: f.default for cls in (ModelConfig, TrainConfig) for f in _settings(cls, args)}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     _keep_freed_memory()
     cfg = _merge(args, _train_defaults(args))
-    mode = cfg["mode"]
-    if mode == "single":
-        mode = "single_scenario"
+    if cfg["mode"] == "single":
+        cfg["mode"] = "single_scenario"
+    if cfg["clip_norm"] == 0:
+        cfg["clip_norm"] = None
     corpus = read_corpus_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
     datasets: dict[str, list] = {}
     for path in (args.summary_matching, args.document_matching):
         if path is None:
             continue
-        labeled = read_dataset_jsonl(path, corpus, vocab)
+        labeled = read_dataset_jsonl(path, vocab)
         for ex in to_scenario_examples(labeled, corpus, vocab):
             datasets.setdefault(ex.scenario, []).append(ex)
     model_config = ModelConfig(
-        vocab_size=len(vocab),
-        hidden_dim=cfg["hidden_dim"],
-        n_layers=cfg["n_layers"],
-        n_heads=cfg["n_heads"],
-        ffn_dim=cfg["ffn_dim"],
-        prefix_len=cfg["prefix_len"],
-        max_len=cfg["max_len"],
-        init_seed=cfg["init_seed"],
+        vocab_size=len(vocab), **{f.name: cfg[f.name] for f in _settings(ModelConfig, args)}
     )
-    clip = cfg["clip_norm"]
-    train_config = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=cfg["seed"],
-        mode=mode,
-        scenario=cfg["scenario"],
-        weight_decay=cfg["weight_decay"],
-        clip_norm=None if clip == 0 else clip,
-        holdout_fraction=cfg["holdout_fraction"],
-        target_accuracy=cfg["target_accuracy"],
-    )
+    train_config = TrainConfig(**{f.name: cfg[f.name] for f in _settings(TrainConfig, args)})
     params = init_parameters(model_config)
     params, report = train(
         params, model_config, datasets, train_config, checkpoint_path=args.checkpoint_out
@@ -376,7 +378,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+    """Add --config after a subcommand's other flags, and keep their
+    declarations, which the config file's values are checked against."""
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
+    parser.set_defaults(flags={action.dest: action for action in parser._actions})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,9 +548,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(json.dumps({"error": f"unknown document id: {exc.args[0]}"}), file=sys.stderr)
-        return 1
     except (ValueError, OSError, FloatingPointError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -116,7 +116,6 @@ def make_document(doc_id: str, text: str, reference_summary: str) -> Document:
 @dataclass(frozen=True)
 class Corpus:
     documents: tuple[Document, ...]
-    provenance: str = "real"
     _ordinals: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -132,8 +131,11 @@ class Corpus:
         return self.documents[ordinal]
 
     def ordinal_of(self, doc_id: str) -> int:
-        """Ordinal of the document with this id; KeyError if there is none."""
-        return self._ordinals[doc_id]
+        """Ordinal of the document with this id; ValueError if there is none."""
+        try:
+            return self._ordinals[doc_id]
+        except KeyError:
+            raise ValueError(f"unknown document id: {doc_id}") from None
 
 
 CLS_TOKEN = "[CLS]"
@@ -150,7 +152,6 @@ class Vocabulary:
     tokens get dense ids from 4 upward by (descending frequency, lexicographic)."""
 
     token_to_id: dict[str, int]
-    min_frequency: int
     id_to_token: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -175,12 +176,12 @@ class Vocabulary:
                 fh.write(tok + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, min_frequency: int = 1) -> "Vocabulary":
+    def load(cls, path: str | Path) -> "Vocabulary":
         mapping = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
         with open(path, encoding="utf-8") as fh:
             for offset, line in enumerate(fh):
                 mapping[line.rstrip("\n")] = len(SPECIAL_TOKENS) + offset
-        return cls(token_to_id=mapping, min_frequency=min_frequency)
+        return cls(token_to_id=mapping)
 
 
 def build_vocab(corpus: Corpus, min_frequency: int = 1) -> Vocabulary:
@@ -201,7 +202,7 @@ def build_vocab(corpus: Corpus, min_frequency: int = 1) -> Vocabulary:
     mapping = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
     for tok in kept:
         mapping[tok] = len(mapping)
-    return Vocabulary(token_to_id=mapping, min_frequency=min_frequency)
+    return Vocabulary(token_to_id=mapping)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
@@ -224,7 +225,7 @@ def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             )
 
 
-def read_corpus_jsonl(path: str | Path, provenance: str = "real") -> Corpus:
+def read_corpus_jsonl(path: str | Path) -> Corpus:
     docs: list[Document] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -235,7 +236,7 @@ def read_corpus_jsonl(path: str | Path, provenance: str = "real") -> Corpus:
                 docs.append(make_document(row["id"], row["text"], row["summary"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
-    return Corpus(documents=tuple(docs), provenance=provenance)
+    return Corpus(documents=tuple(docs))
 
 
 # --- synthetic corpus -------------------------------------------------------
@@ -323,4 +324,4 @@ def gen_synthetic_corpus(n_docs: int, topic_count: int, rng_seed: int) -> Corpus
         docs.append(
             make_document(f"doc-{i:05d}", " ".join(sentences), " ".join(reference))
         )
-    return Corpus(documents=tuple(docs), provenance="synthetic")
+    return Corpus(documents=tuple(docs))

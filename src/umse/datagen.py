@@ -43,7 +43,8 @@ _RANKINGS: weakref.WeakKeyDictionary[Bm25Index, dict[int, list[int]]] = (
 @dataclass(frozen=True)
 class LabeledExample:
     """One training instance. ``candidate``/``reference`` are token ids;
-    the *_text twins keep the detokenized form for the audit trail."""
+    the *_text twins keep the detokenized form for the audit trail, and
+    ``source_doc_id`` names the source document."""
 
     kind: str
     label: int
@@ -51,17 +52,16 @@ class LabeledExample:
     candidate_text: str
     reference: tuple[int, ...] | None
     reference_text: str | None
-    document: int | None  # doc ordinal, document_matching only
     source_doc_id: str
     negative_strategy: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind == SUMMARY_MATCHING:
-            if self.reference is None or self.document is not None:
-                raise ValueError("summary_matching needs a reference and no document")
+            if self.reference is None:
+                raise ValueError("summary_matching needs a reference")
         elif self.kind == DOCUMENT_MATCHING:
-            if self.reference is not None or self.document is None:
-                raise ValueError("document_matching needs a document and no reference")
+            if self.reference is not None:
+                raise ValueError("document_matching takes no reference")
         else:
             raise ValueError(f"unknown dataset kind: {self.kind}")
         if type(self.label) is not int or self.label not in (0, 1):
@@ -153,7 +153,6 @@ def make_summary_matching_pair(
         candidate_text=lead,
         reference=tuple(tokenize(doc.reference_summary, vocab)),
         reference_text=doc.reference_summary,
-        document=None,
         source_doc_id=doc.id,
     )
     corrupted = _swap_one(
@@ -166,7 +165,6 @@ def make_summary_matching_pair(
         candidate_text=corrupted,
         reference=positive.reference,
         reference_text=doc.reference_summary,
-        document=None,
         source_doc_id=doc.id,
         negative_strategy="bm25_swap",
     )
@@ -194,7 +192,6 @@ def make_document_matching_pair(
         candidate_text=doc.reference_summary,
         reference=None,
         reference_text=None,
-        document=ordinal,
         source_doc_id=doc.id,
     )
     corrupted = _swap_one(
@@ -210,7 +207,6 @@ def make_document_matching_pair(
         candidate_text=corrupted,
         reference=None,
         reference_text=None,
-        document=ordinal,
         source_doc_id=doc.id,
         negative_strategy="bm25_swap",
     )
@@ -323,7 +319,7 @@ def write_dataset_jsonl(dataset: list[LabeledExample], path: str | Path) -> None
             )
 
 
-def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> list[LabeledExample]:
+def read_dataset_jsonl(path: str | Path, vocab: Vocabulary) -> list[LabeledExample]:
     out: list[LabeledExample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -337,6 +333,9 @@ def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> l
                     raise ValueError(f"candidate must be a string, got {candidate_text!r}")
                 if not isinstance(reference_text, (str, type(None))):
                     raise ValueError(f"reference must be a string, got {reference_text!r}")
+                doc_id = row["doc_id"]
+                if not isinstance(doc_id, str):
+                    raise ValueError(f"doc_id must be a string, got {doc_id!r}")
                 out.append(
                     LabeledExample(
                         kind=kind,
@@ -349,12 +348,7 @@ def read_dataset_jsonl(path: str | Path, corpus: Corpus, vocab: Vocabulary) -> l
                             else None
                         ),
                         reference_text=reference_text,
-                        document=(
-                            corpus.ordinal_of(row["doc_id"])
-                            if kind == DOCUMENT_MATCHING
-                            else None
-                        ),
-                        source_doc_id=row["doc_id"],
+                        source_doc_id=doc_id,
                         negative_strategy=row["negative_strategy"],
                     )
                 )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -303,14 +303,6 @@ class DimensionResult:
     kendall_tau: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "spearman_rho": self.spearman_rho,
-            "kendall_tau": self.kendall_tau,
-            "n": self.n,
-        }
-
 
 @dataclass(frozen=True)
 class SignificanceEntry:
@@ -319,9 +311,6 @@ class SignificanceEntry:
     t: float
     p: float
 
-    def to_dict(self) -> dict:
-        return {"dimension": self.dimension, "baseline": self.baseline, "t": self.t, "p": self.p}
-
 
 @dataclass
 class CorrelationReport:
@@ -329,15 +318,25 @@ class CorrelationReport:
     results: list[DimensionResult] = field(default_factory=list)
     significance: list[SignificanceEntry] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "aggregation": self.aggregation,
-            "results": [r.to_dict() for r in self.results],
-            "significance": [s.to_dict() for s in self.significance],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
+
+
+def _join_ratings(
+    scores: list[tuple[str, str, float]],
+    annotations: list[HumanAnnotation],
+    dimension: str,
+) -> list[tuple[str, str, float, float]]:
+    """``(doc_id, system_id, score, rating)`` for each score, in order; a
+    score with no annotation for its (doc_id, system_id) raises."""
+    lookup = {(ann.doc_id, ann.system_id): ann for ann in annotations}
+    joined = []
+    for doc_id, system_id, value in scores:
+        ann = lookup.get((doc_id, system_id))
+        if ann is None:
+            raise ValueError(f"no annotation for doc_id={doc_id!r} system_id={system_id!r}")
+        joined.append((doc_id, system_id, float(value), float(ann.ratings[dimension])))
+    return joined
 
 
 def evaluate(
@@ -351,19 +350,13 @@ def evaluate(
     per system first and correlates the per-system means."""
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown dimension: {dimension}")
-    lookup = {(ann.doc_id, ann.system_id): ann for ann in annotations}
-    xs: list[float] = []
-    ys: list[float] = []
-    for doc_id, system_id, value in scores:
-        ann = lookup.get((doc_id, system_id))
-        if ann is None:
-            raise ValueError(f"no annotation for doc_id={doc_id!r} system_id={system_id!r}")
-        xs.append(float(value))
-        ys.append(float(ann.ratings[dimension]))
+    joined = _join_ratings(scores, annotations, dimension)
+    xs = [value for _, _, value, _ in joined]
+    ys = [rating for _, _, _, rating in joined]
     if system_level:
         by_system: dict[str, list[tuple[float, float]]] = {}
-        for (doc_id, system_id, value), rating in zip(scores, ys):
-            by_system.setdefault(system_id, []).append((float(value), rating))
+        for _, system_id, value, rating in joined:
+            by_system.setdefault(system_id, []).append((value, rating))
         systems = sorted(by_system)
         xs = [float(np.mean([v for v, _ in by_system[s]])) for s in systems]
         ys = [float(np.mean([r for _, r in by_system[s]])) for s in systems]
@@ -380,13 +373,9 @@ def _per_document_spearman(
     annotations: list[HumanAnnotation],
     dimension: str,
 ) -> dict[str, float]:
-    lookup = {(ann.doc_id, ann.system_id): ann for ann in annotations}
     by_doc: dict[str, list[tuple[float, float]]] = {}
-    for doc_id, system_id, value in scores:
-        ann = lookup.get((doc_id, system_id))
-        if ann is None:
-            raise ValueError(f"no annotation for doc_id={doc_id!r} system_id={system_id!r}")
-        by_doc.setdefault(doc_id, []).append((float(value), float(ann.ratings[dimension])))
+    for doc_id, _, value, rating in _join_ratings(scores, annotations, dimension):
+        by_doc.setdefault(doc_id, []).append((value, rating))
     out: dict[str, float] = {}
     for doc_id, pairs in by_doc.items():
         try:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,21 +76,7 @@ class ModelConfig:
             raise ValueError("only dropout 0.0 is supported")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vocab_size": self.vocab_size,
-                "hidden_dim": self.hidden_dim,
-                "n_layers": self.n_layers,
-                "n_heads": self.n_heads,
-                "ffn_dim": self.ffn_dim,
-                "prefix_len": self.prefix_len,
-                "max_len": self.max_len,
-                "mlp_dims": list(self.mlp_dims),
-                "dropout": self.dropout,
-                "init_seed": self.init_seed,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ModelConfig":

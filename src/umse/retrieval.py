@@ -96,7 +96,7 @@ class Bm25Index:
         return _idf(self.n_docs, 0 if i is None else int(self.offsets[i + 1] - self.offsets[i]))
 
 
-def build_index(corpus: Corpus, vocab: Vocabulary, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
+def build_index(corpus: Corpus, vocab: Vocabulary) -> Bm25Index:
     """Index document bodies (not summaries). Deterministic."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
@@ -117,8 +117,6 @@ def build_index(corpus: Corpus, vocab: Vocabulary, k1: float = 1.2, b: float = 0
         offsets=np.append(starts, len(keys)),
         ordinals=keys % n_docs,
         tfs=tfs,
-        k1=k1,
-        b=b,
     )
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,11 @@ from .model import (
 
 _CLAMP = 1.0e-12
 
+# AdamW moment decay rates and denominator guard
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1.0e-8
+
 MODES = ("unified", "joint_no_prefix", "single_scenario")
 
 
@@ -53,9 +58,6 @@ class TrainConfig:
     seed: int = 12
     mode: str = "unified"
     scenario: str | None = None  # single_scenario only
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1.0e-8
     weight_decay: float = 0.01
     clip_norm: float | None = 1.0  # None switches clipping off
     holdout_fraction: float = 0.1
@@ -97,22 +99,8 @@ class TrainReport:
     diverged: bool = False
     checkpoint_path: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "epochs_run": self.epochs_run,
-            "total_steps": self.total_steps,
-            "initial_loss": self.initial_loss,
-            "epoch_losses": self.epoch_losses,
-            "holdout_accuracy": self.holdout_accuracy,
-            "best_epoch": self.best_epoch,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "diverged": self.diverged,
-            "checkpoint_path": self.checkpoint_path,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def cross_entropy_loss(scores, labels) -> float:
@@ -346,18 +334,18 @@ def _adamw_update(p, m, v, g, config: TrainConfig, lr: float, bc1: float, bc2: f
     for chunk in _row_chunks(p.shape[0], width):
         pc, mc, vc = p[chunk], m[chunk], v[chunk]
         a, b = scratch_a[: len(pc)], scratch_b[: len(pc)]
-        mc *= config.beta1
-        vc *= config.beta2
+        mc *= _BETA1
+        vc *= _BETA2
         if g is not None:
             gc = g[chunk]
-            np.multiply(gc, 1.0 - config.beta1, out=a)
+            np.multiply(gc, 1.0 - _BETA1, out=a)
             mc += a
-            np.multiply(gc, 1.0 - config.beta2, out=a)
+            np.multiply(gc, 1.0 - _BETA2, out=a)
             a *= gc
             vc += a
         np.divide(vc, bc2, out=a)
         np.sqrt(a, out=a)
-        a += config.eps
+        a += _EPS
         np.divide(mc, bc1, out=b)
         b /= a
         np.multiply(pc, config.weight_decay, out=a)
@@ -380,8 +368,8 @@ def adamw_step(
     the step; the result equals the dense update bit for bit."""
     lr = config.learning_rate if learning_rate is None else learning_rate
     state.t += 1
-    bc1 = 1.0 - config.beta1**state.t
-    bc2 = 1.0 - config.beta2**state.t
+    bc1 = 1.0 - _BETA1**state.t
+    bc2 = 1.0 - _BETA2**state.t
     sparse = getattr(grads, "rows", {})
     for name in names if names is not None else params:
         p, m, v = params[name], state.m[name], state.v[name]

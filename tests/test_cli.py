@@ -277,6 +277,63 @@ class TestTrainDefaults:
         assert json.loads(err)["error"] == f"unknown config key: {key}"
 
 
+class TestConfigValues:
+    """Config-file values are checked against the declaration of the flag
+    of the same name."""
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("synth", {"n_docs": "abc"}, "n_docs must be int, got 'abc'"),
+            ("synth", {"seed": None}, "seed must be int, got None"),
+            ("gendata", {"n_pairs": 2.5}, "n_pairs must be int, got 2.5"),
+            ("train", {"hidden_dim": "64"}, "hidden_dim must be int, got '64'"),
+            ("train", {"epochs": True}, "epochs must be int, got True"),
+            ("train", {"learning_rate": False}, "learning_rate must be float, got False"),
+            ("train", {"clip_norm": None}, "clip_norm must be float, got None"),
+            (
+                "train",
+                {"mode": "bogus"},
+                "mode must be one of unified, joint_no_prefix, single, single_scenario, "
+                "got 'bogus'",
+            ),
+            ("score", {"scenario": "XY"}, "scenario must be one of SR, SD, SDR, got 'XY'"),
+        ],
+    )
+    def test_mistyped_value_is_json_error(self, tmp_path, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        paths = {
+            "synth": ["--out", tmp_path / "c.jsonl"],
+            "gendata": ["--corpus", "c", "--vocab", "v", "--index", "i", "--out-dir", tmp_path],
+            "train": ["--corpus", "c", "--vocab", "v"],
+            "score": ["--inputs", "in.jsonl"],
+        }[command]
+        code, out, err = run_cli([command, *paths, "--config", cfg])
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": f"malformed config file: {message}"}) + "\n"
+
+    def test_null_where_the_default_is_none_and_int_for_float(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"target_accuracy": None, "weight_decay": 0, "epochs": 1}),
+            encoding="utf-8",
+        )
+        out = run_ok(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--document-matching", ws["data"] / "document_matching.jsonl",
+                "--mode", "single",
+                "--scenario", "SD",
+                *TINY_MODEL_FLAGS,
+                "--config", cfg,
+            ]
+        )
+        assert json.loads(out)["epochs_run"] == 1
+
+
 class TestTrain:
     def test_unified_report_lists_three_scenarios(self, ws):
         report = ws["train_report"]

@@ -74,7 +74,7 @@ def _corpus_of(*texts, summaries=None):
     docs = tuple(
         make_document(f"d{i}", t, s) for i, (t, s) in enumerate(zip(texts, summaries))
     )
-    return Corpus(documents=docs, provenance="real")
+    return Corpus(documents=docs)
 
 
 class TestVocabulary:
@@ -107,7 +107,7 @@ class TestVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
-            build_vocab(Corpus(documents=(), provenance="real"), 1)
+            build_vocab(Corpus(documents=()), 1)
 
     def test_save_load_roundtrip(self, tmp_path):
         vocab = build_vocab(_corpus_of("alpha beta beta gamma"), min_frequency=1)
@@ -183,7 +183,7 @@ class TestCorpusJsonl:
         corpus = gen_synthetic_corpus(5, 2, rng_seed=4)
         p = tmp_path / "corpus.jsonl"
         write_corpus_jsonl(corpus, p)
-        again = read_corpus_jsonl(p, provenance="synthetic")
+        again = read_corpus_jsonl(p)
         assert again == corpus
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -201,5 +201,5 @@ class TestCorpusJsonl:
         corpus = gen_synthetic_corpus(5, 2, rng_seed=4)
         for i, doc in enumerate(corpus.documents):
             assert corpus.ordinal_of(doc.id) == i
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^unknown document id: no-such-id$"):
             corpus.ordinal_of("no-such-id")

@@ -61,7 +61,7 @@ def _two_doc_corpus():
         "Alpha starts here. Beta follows soon. Epsilon differs now.",
         "Summary beta one. Summary beta two. Summary beta three. Summary beta four.",
     )
-    corpus = Corpus(documents=(a, b), provenance="test")
+    corpus = Corpus(documents=(a, b))
     vocab = build_vocab(corpus, min_frequency=1)
     return corpus, build_index(corpus, vocab), vocab
 
@@ -70,21 +70,19 @@ class TestExampleChecks:
     """The field checks raise ValueError, so they hold under ``python -O``."""
 
     @pytest.mark.parametrize(
-        "kind, label, reference, document, match",
+        "kind, label, reference, match",
         [
-            (SUMMARY_MATCHING, 1, None, None, "needs a reference"),
-            (SUMMARY_MATCHING, 1, (1,), 0, "needs a reference and no document"),
-            (DOCUMENT_MATCHING, 0, None, None, "needs a document"),
-            (DOCUMENT_MATCHING, 0, (1,), 0, "needs a document and no reference"),
-            ("other", 1, (1,), None, "unknown dataset kind"),
-            (SUMMARY_MATCHING, 2, (1,), None, "label must be 0 or 1"),
-            (DOCUMENT_MATCHING, True, None, 0, "label must be 0 or 1"),
-            (DOCUMENT_MATCHING, "1", None, 0, "label must be 0 or 1"),
+            (SUMMARY_MATCHING, 1, None, "summary_matching needs a reference"),
+            (DOCUMENT_MATCHING, 0, (1,), "document_matching takes no reference"),
+            ("other", 1, (1,), "unknown dataset kind"),
+            (SUMMARY_MATCHING, 2, (1,), "label must be 0 or 1"),
+            (DOCUMENT_MATCHING, True, None, "label must be 0 or 1"),
+            (DOCUMENT_MATCHING, "1", None, "label must be 0 or 1"),
         ],
     )
-    def test_labeled_example(self, kind, label, reference, document, match):
+    def test_labeled_example(self, kind, label, reference, match):
         with pytest.raises(ValueError, match=match):
-            LabeledExample(kind, label, (2,), "x", reference, None, document, "d0")
+            LabeledExample(kind, label, (2,), "x", reference, None, "d0")
 
     @pytest.mark.parametrize(
         "scenario, reference, document, match",
@@ -128,7 +126,7 @@ class TestSummaryMatchingPair:
         assert pos.candidate_text == lead3(corpus[0])
         assert pos.reference_text == corpus[0].reference_summary
         assert pos.candidate == tuple(tokenize(pos.candidate_text, vocab))
-        assert pos.document is None and neg.document is None
+        assert corpus.ordinal_of(pos.source_doc_id) == corpus.ordinal_of(neg.source_doc_id) == 0
         assert pos.negative_strategy is None
         assert neg.negative_strategy == "bm25_swap"
         assert neg.reference == pos.reference
@@ -171,7 +169,7 @@ class TestSummaryMatchingPair:
 
     def test_no_neighbor_rejected(self):
         doc = make_document("only", "Lone text here.", "Lone summary here.")
-        corpus = Corpus(documents=(doc,), provenance="test")
+        corpus = Corpus(documents=(doc,))
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
         with pytest.raises(ValueError):
@@ -186,7 +184,7 @@ class TestDocumentMatchingPair:
         assert (pos.label, neg.label) == (1, 0)
         assert pos.candidate_text == corpus[0].reference_summary
         assert pos.reference is None and neg.reference is None
-        assert pos.document == 0 and neg.document == 0
+        assert corpus.ordinal_of(pos.source_doc_id) == corpus.ordinal_of(neg.source_doc_id) == 0
 
     def test_negative_differs_in_exactly_one_slot(self):
         corpus, index, vocab = _two_doc_corpus()
@@ -203,7 +201,7 @@ class TestDocumentMatchingPair:
     def test_single_sentence_reference(self):
         a = make_document("a", "Alpha starts here. Beta follows soon.", "Only summary here.")
         b = make_document("b", "Alpha starts here. Gamma differs now.", "Other one. Other two.")
-        corpus = Corpus(documents=(a, b), provenance="test")
+        corpus = Corpus(documents=(a, b))
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
         _, neg = make_document_matching_pair(corpus, index, vocab, 0, random.Random(1))
@@ -217,7 +215,7 @@ class TestDocumentMatchingPair:
         )
         twin = make_document("twin", "Red fox runs far. Red fox naps now. Red fox eats.", "")
         c = make_document("c", "Red fox sits. Blue bird sings.", "Bird note one. Bird note two.")
-        corpus = Corpus(documents=(a, twin, c), provenance="test")
+        corpus = Corpus(documents=(a, twin, c))
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
         for seed in range(20):
@@ -231,7 +229,7 @@ class TestDocumentMatchingPair:
         a = make_document("a", "Red fox runs far.", "Shared summary here.")
         twin = make_document("twin", "Red fox runs near.", "Shared summary here.")
         c = make_document("c", "Red fox sits down.", "Bird note one. Bird note two.")
-        corpus = Corpus(documents=(a, twin, c), provenance="test")
+        corpus = Corpus(documents=(a, twin, c))
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
         _, neg = make_document_matching_pair(corpus, index, vocab, 0, random.Random(0))
@@ -341,7 +339,7 @@ class TestGenerateDataset:
 
     def test_single_doc_corpus_rejected(self):
         doc = make_document("only", "Lone text here.", "Lone summary here.")
-        corpus = Corpus(documents=(doc,), provenance="test")
+        corpus = Corpus(documents=(doc,))
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
         with pytest.raises(ValueError, match="corpus too small"):
@@ -415,7 +413,7 @@ class TestDatasetJsonl:
         for name, data in (("sm.jsonl", sm), ("dm.jsonl", dm)):
             path = tmp_path / name
             write_dataset_jsonl(data, path)
-            assert read_dataset_jsonl(path, corpus, vocab) == data
+            assert read_dataset_jsonl(path, vocab) == data
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -428,7 +426,7 @@ class TestDatasetJsonl:
         corpus = gen_synthetic_corpus(n_docs=2, topic_count=2, rng_seed=0)
         vocab = build_vocab(corpus, min_frequency=1)
         with pytest.raises(ValueError, match="malformed dataset line 2"):
-            read_dataset_jsonl(path, corpus, vocab)
+            read_dataset_jsonl(path, vocab)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -439,6 +437,7 @@ class TestDatasetJsonl:
             ("label", "1", "label must be 0 or 1, got '1'"),
             ("label", True, "label must be 0 or 1, got True"),
             ("kind", "other", "unknown dataset kind: other"),
+            ("doc_id", 5, "doc_id must be a string, got 5"),
         ],
     )
     def test_label_and_kind_checked_on_read(self, tmp_path, field, value, message):
@@ -451,5 +450,5 @@ class TestDatasetJsonl:
         corpus = gen_synthetic_corpus(n_docs=2, topic_count=2, rng_seed=0)
         vocab = build_vocab(corpus, min_frequency=1)
         with pytest.raises(ValueError) as err:
-            read_dataset_jsonl(path, corpus, vocab)
+            read_dataset_jsonl(path, vocab)
         assert str(err.value) == f"malformed dataset line 2: {message}"

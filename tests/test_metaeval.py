@@ -634,3 +634,22 @@ class TestReport:
             "n": 30,
         }
         assert data["significance"][0]["baseline"] == "rouge1"
+
+    def test_json_bytes(self):
+        report = CorrelationReport(
+            aggregation="pooled",
+            results=[
+                DimensionResult("coherence", 0.1, -0.2, 12),
+                DimensionResult("fluency", 1.0, 1.0, 3),
+            ],
+            significance=[SignificanceEntry("coherence", "rouge1", 2.5, 0.03125)],
+        )
+        assert report.to_json() == (
+            '{"aggregation": "pooled", "results": [{"dimension": "coherence", '
+            '"kendall_tau": -0.2, "n": 12, "spearman_rho": 0.1}, {"dimension": "fluency", '
+            '"kendall_tau": 1.0, "n": 3, "spearman_rho": 1.0}], "significance": '
+            '[{"baseline": "rouge1", "dimension": "coherence", "p": 0.03125, "t": 2.5}]}'
+        )
+        assert CorrelationReport(aggregation="system").to_json() == (
+            '{"aggregation": "system", "results": [], "significance": []}'
+        )

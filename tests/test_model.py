@@ -81,6 +81,18 @@ class TestModelConfig:
         config = small_config()
         assert ModelConfig.from_json(config.to_json()) == config
 
+    def test_json_bytes(self):
+        # the checkpoint header carries these bytes, so they are pinned
+        config = ModelConfig(
+            vocab_size=40, hidden_dim=16, n_heads=2, ffn_dim=32, prefix_len=4, max_len=48,
+            init_seed=3,
+        )
+        assert config.to_json() == (
+            '{"dropout": 0.0, "ffn_dim": 32, "hidden_dim": 16, "init_seed": 3, '
+            '"max_len": 48, "mlp_dims": [48, 16, 2], "n_heads": 2, "n_layers": 2, '
+            '"prefix_len": 4, "vocab_size": 40}'
+        )
+
 
 class TestPrefixPermutation:
     def test_documented_orders_at_five(self):

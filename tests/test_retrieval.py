@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -138,7 +139,7 @@ class TestBm25Score:
     def test_b_zero_removes_length_normalization(self):
         corpus = _corpus_of("cat cat dog dog dog dog", "cat")
         vocab = build_vocab(corpus, 1)
-        index = build_index(corpus, vocab, b=0.0)
+        index = dataclasses.replace(build_index(corpus, vocab), b=0.0)
         query = tokenize("cat", vocab)
         long_doc = bm25_score(index, query, 0)
         k1 = index.k1

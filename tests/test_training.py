@@ -28,6 +28,7 @@ from umse.training import (
     AdamWState,
     Gradients,
     TrainConfig,
+    TrainReport,
     _softmax_backward,
     adamw_step,
     backward,
@@ -488,6 +489,32 @@ class TestTrain:
         row = json.loads(report.to_json())
         for key in ("mode", "epoch_losses", "holdout_accuracy", "best_epoch", "wall_clock_seconds"):
             assert key in row
+
+    def test_report_json_bytes(self):
+        report = TrainReport(
+            mode="unified",
+            epochs_run=2,
+            total_steps=14,
+            initial_loss=0.6931471805599453,
+            epoch_losses=[0.5, 0.25],
+            holdout_accuracy=[{"SR": 0.5, "SD": 0.75, "SDR": 1.0}, {"SR": 1.0, "SD": 1.0, "SDR": 1.0}],
+            best_epoch=2,
+            wall_clock_seconds=1.25,
+            checkpoint_path="m.ckpt",
+        )
+        assert report.to_json() == (
+            '{"best_epoch": 2, "checkpoint_path": "m.ckpt", "diverged": false, '
+            '"epoch_losses": [0.5, 0.25], "epochs_run": 2, "holdout_accuracy": '
+            '[{"SD": 0.75, "SDR": 1.0, "SR": 0.5}, {"SD": 1.0, "SDR": 1.0, "SR": 1.0}], '
+            '"initial_loss": 0.6931471805599453, "mode": "unified", "total_steps": 14, '
+            '"wall_clock_seconds": 1.25}'
+        )
+        assert TrainReport(mode="joint_no_prefix", diverged=True).to_json() == (
+            '{"best_epoch": null, "checkpoint_path": null, "diverged": true, '
+            '"epoch_losses": [], "epochs_run": 0, "holdout_accuracy": [], '
+            '"initial_loss": null, "mode": "joint_no_prefix", "total_steps": 0, '
+            '"wall_clock_seconds": 0.0}'
+        )
 
 
 class TestEvaluateAccuracy:
