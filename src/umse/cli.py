@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import os
 import platform
 import sys
 import time
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .corpus import (
     Vocabulary,
+    atomic_write,
     build_vocab,
     gen_synthetic_corpus,
     read_corpus_jsonl,
@@ -250,7 +252,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     print(report.to_json())
     if args.report_out:
-        Path(args.report_out).write_text(report.to_json() + "\n", encoding="utf-8")
+        with atomic_write(args.report_out) as fh:
+            fh.write(report.to_json() + "\n")
     return 1 if report.diverged else 0
 
 
@@ -273,6 +276,114 @@ def _score_line(row: dict, value: float, scenario, fusion, metric) -> str:
     if metric is not None:
         out["metric"] = metric
     return json.dumps(out, ensure_ascii=False)
+
+
+# Rows per task of the scoring pool. A row truncated at max_len costs
+# several short rows, and such rows come in runs (one document's
+# candidates), so chunks stay small enough to spread them over the workers.
+_SCORE_CHUNK = 8
+
+
+@dataclasses.dataclass(frozen=True)
+class _ScoreJob:
+    """Everything a worker needs to score rows: the model, the vocabulary,
+    the mode, and the parsed (line number, row) pairs."""
+
+    params: dict
+    config: ModelConfig
+    vocab: Vocabulary
+    scenario: str
+    fusion: str | None
+    rows: list[tuple[int, dict]]
+
+
+def _usable_cores() -> int:
+    """The CPUs in this process's affinity mask, so taskset limits it; 1
+    where the platform does not report one."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _score_chunk(job: _ScoreJob, start: int, stop: int) -> tuple[list[float], Exception | None]:
+    """Tokenize and score rows ``start:stop`` in order. A failing row ends
+    the chunk: the values before it are returned with its error."""
+    need_ref = job.scenario in ("SR", "SDR")
+    need_doc = job.scenario in ("SD", "SDR")
+    values: list[float] = []
+    for lineno, row in job.rows[start:stop]:
+        try:
+            cand = tuple(tokenize(_field(row, "candidate", lineno), job.vocab))
+            ref = (
+                tuple(tokenize(_field(row, "reference", lineno), job.vocab)) if need_ref else None
+            )
+            doc = (
+                tuple(tokenize(_field(row, "document", lineno), job.vocab)) if need_doc else None
+            )
+            if job.fusion is not None:
+                s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
+                s_sd = score(job.params, job.config, "SD", cand, document=doc).score
+                values.append(fuse(s_sr, s_sd, job.fusion))
+            else:
+                values.append(
+                    score(
+                        job.params, job.config, job.scenario, cand, reference=ref, document=doc
+                    ).score
+                )
+        except (ValueError, FloatingPointError) as exc:
+            return values, exc
+    return values, None
+
+
+_worker_job: _ScoreJob | None = None  # set only inside pool workers
+
+
+def _adopt_job(job: _ScoreJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _score_worker_chunk(bounds: tuple[int, int]) -> tuple[list[float], Exception | None]:
+    return _score_chunk(_worker_job, *bounds)
+
+
+def _in_order(chunks) -> list[float]:
+    """Concatenate chunk results in input order; raise the first error."""
+    values: list[float] = []
+    for chunk, error in chunks:
+        values.extend(chunk)
+        if error is not None:
+            raise error
+    return values
+
+
+def _score_rows(job: _ScoreJob) -> list[float]:
+    """Score every row in input order, in contiguous chunks spread over a
+    fork pool of one worker per usable core; inline with one worker or where
+    fork is unavailable. A row's bytes do not depend on which process scores
+    it: the encoder is batch-invariant, and the workers inherit the job and
+    the BLAS settings from the fork. Every worker has exited on return, on
+    success and on error."""
+    n = len(job.rows)
+    bounds = [(i, min(i + _SCORE_CHUNK, n)) for i in range(0, n, _SCORE_CHUNK)]
+    workers = min(_usable_cores(), len(bounds))
+    if workers > 1:
+        # imported here: loading the pool machinery would cost every other
+        # command about 2 MB of resident memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            pool = ProcessPoolExecutor(workers, context, _adopt_job, (job,))
+            try:
+                return _in_order(pool.map(_score_worker_chunk, bounds))
+            except BrokenProcessPool as exc:
+                raise OSError(f"a scoring worker died: {exc}") from exc
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return _in_order(_score_chunk(job, *b) for b in bounds)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -299,28 +410,13 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"vocab {args.vocab} has {len(vocab)} tokens, "
                 f"but the checkpoint was trained on {model_config.vocab_size}"
             )
-        need_ref = scenario in ("SR", "SDR")
-        need_doc = scenario in ("SD", "SDR")
-        for lineno, row in rows:
-            cand = tuple(tokenize(_field(row, "candidate", lineno), vocab))
-            ref = (
-                tuple(tokenize(_field(row, "reference", lineno), vocab)) if need_ref else None
-            )
-            doc = (
-                tuple(tokenize(_field(row, "document", lineno), vocab)) if need_doc else None
-            )
-            if fusion is not None:
-                s_sr = score(params, model_config, "SR", cand, reference=ref).score
-                s_sd = score(params, model_config, "SD", cand, document=doc).score
-                value = fuse(s_sr, s_sd, fusion)
-            else:
-                value = score(
-                    params, model_config, scenario, cand, reference=ref, document=doc
-                ).score
+        values = _score_rows(_ScoreJob(params, model_config, vocab, scenario, fusion, rows))
+        for (_lineno, row), value in zip(rows, values):
             lines.append(_score_line(row, value, scenario, fusion, None))
     text = "".join(line + "\n" for line in lines)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0

@@ -1,6 +1,6 @@
 """Corpus handling: sentence segmentation, word-level vocabulary, tokenization,
-JSONL ingestion, and a deterministic synthetic-corpus generator for desk-scale
-experiments.
+JSONL ingestion, a deterministic synthetic-corpus generator for desk-scale
+experiments, and the atomic file write every artifact writer uses.
 
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds.
@@ -9,9 +9,11 @@ through explicit seeds.
 from __future__ import annotations
 
 import json
+import os
 import random
 import string
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -171,7 +173,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         # One non-special token per line; line number = id - 4.
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for tok in self.id_to_token[len(SPECIAL_TOKENS):]:
                 fh.write(tok + "\n")
 
@@ -213,8 +215,33 @@ def detokenize(ids: list[int], vocab: Vocabulary) -> str:
     return " ".join(vocab.id_to_token[i] for i in ids)
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temporary file beside ``path`` (UTF-8 text, or binary with
+    ``mode="wb"``) and move it over ``path`` with ``os.replace`` once the
+    block ends. A write that fails partway removes the temporary file, so
+    ``path`` holds either its old bytes or all of the new ones. A symlink
+    is written through; a device or pipe such as ``/dev/stdout`` cannot be
+    replaced and is written to directly."""
+    encoding = None if "b" in mode else "utf-8"
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc in corpus.documents:
             fh.write(
                 json.dumps(

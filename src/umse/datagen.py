@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, Document, Vocabulary, tokenize
+from .corpus import Corpus, Document, Vocabulary, atomic_write, tokenize
 from .retrieval import Bm25Index, most_similar
 
 SUMMARY_MATCHING = "summary_matching"
@@ -227,6 +227,8 @@ def generate_dataset(
     neighbor are skipped and redrawn."""
     if kind not in (SUMMARY_MATCHING, DOCUMENT_MATCHING):
         raise ValueError(f"unknown dataset kind: {kind}")
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     if len(corpus) < 2:
         raise ValueError("corpus too small: need at least 2 documents")
     make_pair = (
@@ -301,7 +303,7 @@ def to_scenario_examples(
 
 def write_dataset_jsonl(dataset: list[LabeledExample], path: str | Path) -> None:
     """Text is stored detokenized; token ids are recovered at load time."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ex in dataset:
             fh.write(
                 json.dumps(

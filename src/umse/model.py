@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CLS_ID, SEP_ID
+from .corpus import CLS_ID, SEP_ID, atomic_write
 
 SCENARIOS = ("SR", "SD", "SDR")
 FUSION_METHODS = ("min", "max", "geometric_mean", "arithmetic_mean")
@@ -577,7 +577,7 @@ def save_checkpoint(
     """Layout, all integers little-endian: magic; u32 config JSON length +
     JSON; u32 parameter count; then per parameter (sorted by name) u16 name
     length + name, u8 ndim, u32 dims, row-major float64 payload."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         blob = config.to_json().encode("utf-8")
         fh.write(struct.pack("<I", len(blob)))
@@ -601,11 +601,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     data = Path(path).read_bytes()
     if not data.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"not a checkpoint file: {path}")
+    view = memoryview(data)  # slices of it copy nothing
 
-    def take(size: int, off: int) -> tuple[bytes, int]:
+    def take(size: int, off: int) -> tuple[memoryview, int]:
         if off + size > len(data):
             raise ValueError(f"truncated checkpoint: {path}")
-        return data[off : off + size], off + size
+        return view[off : off + size], off + size
 
     def unpack(fmt: str, off: int) -> tuple[tuple, int]:
         raw, off = take(struct.calcsize(fmt), off)
@@ -617,7 +618,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     (config_len,), off = unpack("<I", len(CHECKPOINT_MAGIC))
     blob, off = take(config_len, off)
     try:
-        config = ModelConfig.from_json(blob.decode("utf-8"))
+        config = ModelConfig.from_json(str(blob, "utf-8"))
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise corrupt(f"unreadable config ({exc})") from exc
     shapes = param_shapes(config)
@@ -628,7 +629,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
         raw, off = take(name_len, off)
         (ndim,), off = unpack("<B", off)
         shape, off = unpack(f"<{ndim}I", off)
-        name = raw.decode("utf-8", errors="replace")
+        name = str(raw, "utf-8", "replace")
         if name not in shapes or name in params:
             raise corrupt(f"unexpected parameter {name!r}")
         if shape != shapes[name]:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, tokenize
+from .corpus import Corpus, Vocabulary, atomic_write, tokenize
 
 INDEX_MAGIC = b"UMSEIDX1"
 
@@ -205,7 +205,8 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
     words[heads + 1] = counts
     pairs = np.column_stack((index.ordinals, index.tfs))
     words[_concat_ranges(heads + 2, 2 * counts)] = pairs.ravel()
-    Path(path).write_bytes(head + docs + words.tobytes())
+    with atomic_write(path, "wb") as fh:
+        fh.write(head + docs + words.tobytes())
 
 
 def load_index(path: str | Path) -> Bm25Index:

@@ -15,6 +15,7 @@ round-robin; the loss is the summed binary cross-entropy over each batch.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -64,8 +65,19 @@ class TrainConfig:
     target_accuracy: float | None = None  # early stop once every stream reaches it
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # written so that NaN fails each check
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if self.clip_norm is not None and not (
+            math.isfinite(self.clip_norm) and self.clip_norm > 0
+        ):
+            raise ValueError(
+                f"clip_norm must be positive and finite, or None, got {self.clip_norm}"
+            )
+        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
+            raise ValueError(f"target_accuracy must be in [0, 1], got {self.target_accuracy}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.epochs <= 10:

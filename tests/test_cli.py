@@ -4,12 +4,15 @@ reporting, output determinism, and help snapshots."""
 import contextlib
 import io
 import json
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from umse import cli
 from umse.cli import _train_defaults, build_parser, main
 from umse.corpus import word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
@@ -238,6 +241,23 @@ class TestGendata:
         assert json.loads(err)["error"].startswith("truncated index file")
 
 
+    @pytest.mark.parametrize("n_pairs", ["0", "-3"])
+    def test_non_positive_pair_count_is_json_error(self, ws, tmp_path, n_pairs):
+        code, out, err = run_cli(
+            [
+                "gendata",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--index", ws["index"],
+                "--out-dir", tmp_path / "data",
+                "--n-pairs", n_pairs,
+            ]
+        )
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": "n_pairs must be >= 1"}) + "\n"
+        assert list((tmp_path / "data").iterdir()) == []
+
+
 # every train flag that sets a ModelConfig or TrainConfig field
 _TRAIN_SETTINGS = {
     "hidden_dim", "n_layers", "n_heads", "ffn_dim", "prefix_len", "max_len", "init_seed",
@@ -451,6 +471,41 @@ class TestTrain:
         assert json.loads(err)["error"].startswith("malformed dataset line 3: ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("learning_rate", "nan", "learning_rate must be positive and finite, got nan"),
+            ("learning_rate", "inf", "learning_rate must be positive and finite, got inf"),
+            ("weight_decay", "-0.5", "weight_decay must be >= 0 and finite, got -0.5"),
+            ("clip_norm", "-1", "clip_norm must be positive and finite, or None, got -1.0"),
+            ("clip_norm", "inf", "clip_norm must be positive and finite, or None, got inf"),
+            ("target_accuracy", "1.5", "target_accuracy must be in [0, 1], got 1.5"),
+            ("target_accuracy", "nan", "target_accuracy must be in [0, 1], got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_float_setting_is_json_error(self, ws, tmp_path, key, value, message, source):
+        if source == "flag":
+            setting = ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}), encoding="utf-8")
+            setting = ["--config", cfg]
+        code, out, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", ws["data"] / "summary_matching.jsonl",
+                "--checkpoint-out", tmp_path / "model.ckpt",
+                *TINY_MODEL_FLAGS,
+                *setting,
+            ]
+        )
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": message}) + "\n"
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_divergence_exits_nonzero_with_report(self, ws):
         code, out, _ = run_cli(
             [
@@ -637,6 +692,92 @@ class TestScore:
         a = (tmp_path / "a.jsonl").read_bytes()
         assert a == (tmp_path / "b.jsonl").read_bytes()
         assert len(a) > 0
+
+
+class TestParallelScore:
+    """Model rows are scored in chunks spread over the usable cores. Every
+    worker count gives the same bytes and reports the same first bad row,
+    and no child process outlives the call."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, ws):
+        """Two candidates for every corpus document: 80 rows, ten chunks."""
+        rows = []
+        for line in ws["corpus"].read_text(encoding="utf-8").splitlines():
+            doc = json.loads(line)
+            for system_id, candidate in (("summary", doc["summary"]), ("text", doc["text"])):
+                rows.append(
+                    {"doc_id": doc["id"], "system_id": system_id, "candidate": candidate,
+                     "reference": doc["summary"], "document": doc["text"]}
+                )
+        assert len(rows) > 4 * cli._SCORE_CHUNK
+        return rows
+
+    def _score(self, ws, monkeypatch, tmp_path, rows, workers, *flags):
+        """Run ``umse score`` as if ``workers`` cores were usable; returns
+        (exit code, stderr, output path, pool sizes started)."""
+        monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+        pools = []
+
+        def pool(*args):
+            pools.append(args[0])
+            return ProcessPoolExecutor(*args)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+        inputs = tmp_path / f"in_{workers}.jsonl"
+        inputs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        out = tmp_path / f"out_{workers}.jsonl"
+        code, stdout, err = run_cli(
+            ["score", "--inputs", inputs, "--checkpoint", ws["checkpoint"],
+             "--vocab", ws["vocab"], *flags, "--out", out]
+        )
+        assert stdout == ""
+        assert multiprocessing.active_children() == []
+        return code, err, out, pools
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--scenario", "SR"),
+            ("--scenario", "SD"),
+            ("--scenario", "SDR"),
+            ("--scenario", "SDR", "--fusion", "arithmetic_mean"),
+        ],
+    )
+    def test_any_worker_count_writes_the_same_bytes(
+        self, ws, monkeypatch, tmp_path, rows, flags
+    ):
+        written = []
+        for workers, started in ((1, []), (2, [2]), (3, [3])):
+            code, err, out, pools = self._score(ws, monkeypatch, tmp_path, rows, workers, *flags)
+            assert code == 0, err
+            assert pools == started
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert len(written[0].splitlines()) == len(rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("empty", "candidate must be non-empty"),
+            ("missing", "input line 12: missing field 'reference'"),
+        ],
+    )
+    def test_earliest_bad_row_is_reported(
+        self, ws, monkeypatch, tmp_path, rows, workers, first, message
+    ):
+        # rows 11 and 61 (input lines 12 and 62) lie in different chunks
+        rows = [dict(r) for r in rows]
+        empty_at, missing_at = (11, 61) if first == "empty" else (61, 11)
+        rows[empty_at]["candidate"] = ""
+        del rows[missing_at]["reference"]
+        code, err, out, _ = self._score(
+            ws, monkeypatch, tmp_path, rows, workers, "--scenario", "SR"
+        )
+        assert code == 1
+        assert err == json.dumps({"error": message}) + "\n"
+        assert not out.exists()
 
 
 def _write_scores(path, triples):

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from umse.corpus import (
     UNK_ID,
     Corpus,
     Vocabulary,
+    atomic_write,
     build_vocab,
     detokenize,
     gen_synthetic_corpus,
@@ -203,3 +207,47 @@ class TestCorpusJsonl:
             assert corpus.ordinal_of(doc.id) == i
         with pytest.raises(ValueError, match="^unknown document id: no-such-id$"):
             corpus.ordinal_of("no-such-id")
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_in_one_step(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("new \u00e9\n")
+            assert path.read_text(encoding="utf-8") == "old\n"
+        assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failure_partway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "real.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        with atomic_write(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == "new\n"
+
+    def test_pipe_is_written_to_directly(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with atomic_write(fifo, "wb") as fh:
+            fh.write(b"through the pipe")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"through the pipe"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)

@@ -337,6 +337,12 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="unknown dataset kind"):
             generate_dataset(corpus, index, vocab, "other", n_pairs=1, rng_seed=0)
 
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_non_positive_pair_count_rejected(self, small, n_pairs):
+        corpus, index, vocab = small
+        with pytest.raises(ValueError, match=r"^n_pairs must be >= 1$"):
+            generate_dataset(corpus, index, vocab, SUMMARY_MATCHING, n_pairs=n_pairs, rng_seed=0)
+
     def test_single_doc_corpus_rejected(self):
         doc = make_document("only", "Lone text here.", "Lone summary here.")
         corpus = Corpus(documents=(doc,))

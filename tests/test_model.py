@@ -490,6 +490,19 @@ class TestCheckpoint:
         save_checkpoint(loaded, loaded_config, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        config = small_config()
+        params = init_parameters(config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, path)
+        before = path.read_bytes()
+        broken = dict(params)
+        broken[max(params)] = np.array(["not a number"])  # written last
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, config, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT0" + b"\x00" * 32)

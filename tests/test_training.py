@@ -339,6 +339,32 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(scenario="SR")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", -1.0e-3),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("weight_decay", -0.01),
+            ("clip_norm", float("nan")),
+            ("clip_norm", float("inf")),
+            ("clip_norm", 0.0),
+            ("clip_norm", -1.0),
+            ("target_accuracy", float("nan")),
+            ("target_accuracy", -0.1),
+            ("target_accuracy", 1.5),
+        ],
+    )
+    def test_bad_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_float_edges_accepted(self):
+        TrainConfig(weight_decay=0.0, clip_norm=None, target_accuracy=0.0)
+        TrainConfig(clip_norm=1.0e-9, target_accuracy=1.0)
+
 
 class TestTrain:
     def test_step_count_arithmetic(self, streams):
