@@ -175,6 +175,11 @@ def cmd_gendata(args: argparse.Namespace) -> int:
     corpus = read_corpus_jsonl(args.corpus)
     vocab = Vocabulary.load(args.vocab)
     index = load_index(args.index)
+    if len(index.terms) and index.terms[-1] >= len(vocab):
+        raise ValueError(
+            f"vocab {args.vocab} has {len(vocab)} tokens, "
+            f"but the index names token id {index.terms[-1]}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the document-matching stream gets its own seed so the two files do
@@ -183,9 +188,7 @@ def cmd_gendata(args: argparse.Namespace) -> int:
         (SUMMARY_MATCHING, 0, "summary_matching.jsonl"),
         (DOCUMENT_MATCHING, 1, "document_matching.jsonl"),
     ):
-        dataset = generate_dataset(
-            corpus, index, vocab, kind, cfg["n_pairs"], cfg["seed"] + seed_offset
-        )
+        dataset = generate_dataset(corpus, index, kind, cfg["n_pairs"], cfg["seed"] + seed_offset)
         write_dataset_jsonl(dataset, out_dir / filename)
         print(f"{kind}: {len(dataset)}")
     return 0
@@ -239,8 +242,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for path in (args.summary_matching, args.document_matching):
         if path is None:
             continue
-        labeled = read_dataset_jsonl(path, vocab)
-        for ex in to_scenario_examples(labeled, corpus, vocab):
+        for ex in to_scenario_examples(read_dataset_jsonl(path), corpus, vocab):
             datasets.setdefault(ex.scenario, []).append(ex)
     model_config = ModelConfig(
         vocab_size=len(vocab), **{f.name: cfg[f.name] for f in _settings(ModelConfig, args)}
@@ -307,7 +309,8 @@ def _usable_cores() -> int:
 
 def _score_chunk(job: _ScoreJob, start: int, stop: int) -> tuple[list[float], Exception | None]:
     """Tokenize and score rows ``start:stop`` in order. A failing row ends
-    the chunk: the values before it are returned with its error."""
+    the chunk: the values before it are returned with its error, which
+    names the row's input line."""
     need_ref = job.scenario in ("SR", "SDR")
     need_doc = job.scenario in ("SD", "SDR")
     values: list[float] = []
@@ -320,16 +323,20 @@ def _score_chunk(job: _ScoreJob, start: int, stop: int) -> tuple[list[float], Ex
             doc = (
                 tuple(tokenize(_field(row, "document", lineno), job.vocab)) if need_doc else None
             )
-            if job.fusion is not None:
-                s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
-                s_sd = score(job.params, job.config, "SD", cand, document=doc).score
-                values.append(fuse(s_sr, s_sd, job.fusion))
-            else:
-                values.append(
-                    score(
-                        job.params, job.config, job.scenario, cand, reference=ref, document=doc
-                    ).score
-                )
+            try:
+                if job.fusion is not None:
+                    s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
+                    s_sd = score(job.params, job.config, "SD", cand, document=doc).score
+                    values.append(fuse(s_sr, s_sd, job.fusion))
+                else:
+                    values.append(
+                        score(
+                            job.params, job.config, job.scenario, cand, reference=ref,
+                            document=doc,
+                        ).score
+                    )
+            except ValueError as exc:  # the row's text does not fit the template
+                raise ValueError(f"input line {lineno}: {exc}") from None
         except (ValueError, FloatingPointError) as exc:
             return values, exc
     return values, None

@@ -10,10 +10,12 @@ Two dataset kinds are built from a corpus and its BM25 index:
   negative swaps one random sentence of that reference for a random sentence
   of the neighbor's reference.
 
-Scenario-tagged examples for the three input templates are derived from
-these: SR and SDR from summary matching (SDR attaches the source document),
-SD from document matching. Deriving SDR from document matching would be
-degenerate there because the positive candidate is the reference itself.
+Examples stay text until the model needs them: ``to_scenario_examples``
+tokenizes each candidate, reference and source document once and derives
+the scenario-tagged examples for the three input templates: SR and SDR from
+summary matching (SDR attaches the source document), SD from document
+matching. Deriving SDR from document matching would be degenerate there
+because the positive candidate is the reference itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .corpus import Corpus, Document, Vocabulary, atomic_write, tokenize
@@ -42,17 +44,14 @@ _RANKINGS: weakref.WeakKeyDictionary[Bm25Index, dict[int, list[int]]] = (
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """One training instance. ``candidate``/``reference`` are token ids;
-    the *_text twins keep the detokenized form for the audit trail, and
-    ``source_doc_id`` names the source document."""
+    """One training instance, as text. Its fields are the dataset file's
+    keys, in file order; ``doc_id`` names the source document."""
 
     kind: str
     label: int
-    candidate: tuple[int, ...]
-    candidate_text: str
-    reference: tuple[int, ...] | None
-    reference_text: str | None
-    source_doc_id: str
+    candidate: str
+    reference: str | None
+    doc_id: str
     negative_strategy: str | None = None
 
     def __post_init__(self) -> None:
@@ -66,6 +65,15 @@ class LabeledExample:
             raise ValueError(f"unknown dataset kind: {self.kind}")
         if type(self.label) is not int or self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+        for name, optional in (
+            ("candidate", False),
+            ("reference", True),
+            ("doc_id", False),
+            ("negative_strategy", True),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (optional and value is None):
+                raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,6 @@ def _swap_one(
 def make_summary_matching_pair(
     corpus: Corpus,
     index: Bm25Index,
-    vocab: Vocabulary,
     ordinal: int,
     rng: random.Random,
 ) -> tuple[LabeledExample, LabeledExample]:
@@ -146,35 +153,20 @@ def make_summary_matching_pair(
     neighbor = _pick_neighbor(corpus, index, ordinal)
     if neighbor is None:
         raise ValueError(f"no usable neighbor for document {doc.id}")
-    positive = LabeledExample(
-        kind=SUMMARY_MATCHING,
-        label=1,
-        candidate=tuple(tokenize(lead, vocab)),
-        candidate_text=lead,
-        reference=tuple(tokenize(doc.reference_summary, vocab)),
-        reference_text=doc.reference_summary,
-        source_doc_id=doc.id,
-    )
     corrupted = _swap_one(
         list(neighbor.reference_sentences), doc.sentences[:3], rng, forbid=lead
     )
-    negative = LabeledExample(
-        kind=SUMMARY_MATCHING,
-        label=0,
-        candidate=tuple(tokenize(corrupted, vocab)),
-        candidate_text=corrupted,
-        reference=positive.reference,
-        reference_text=doc.reference_summary,
-        source_doc_id=doc.id,
-        negative_strategy="bm25_swap",
+    return (
+        LabeledExample(SUMMARY_MATCHING, 1, lead, doc.reference_summary, doc.id),
+        LabeledExample(
+            SUMMARY_MATCHING, 0, corrupted, doc.reference_summary, doc.id, "bm25_swap"
+        ),
     )
-    return positive, negative
 
 
 def make_document_matching_pair(
     corpus: Corpus,
     index: Bm25Index,
-    vocab: Vocabulary,
     ordinal: int,
     rng: random.Random,
 ) -> tuple[LabeledExample, LabeledExample]:
@@ -185,38 +177,21 @@ def make_document_matching_pair(
     neighbor = _pick_neighbor(corpus, index, ordinal)
     if neighbor is None:
         raise ValueError(f"no usable neighbor for document {doc.id}")
-    positive = LabeledExample(
-        kind=DOCUMENT_MATCHING,
-        label=1,
-        candidate=tuple(tokenize(doc.reference_summary, vocab)),
-        candidate_text=doc.reference_summary,
-        reference=None,
-        reference_text=None,
-        source_doc_id=doc.id,
-    )
     corrupted = _swap_one(
         list(doc.reference_sentences),
         neighbor.reference_sentences,
         rng,
         forbid=doc.reference_summary,
     )
-    negative = LabeledExample(
-        kind=DOCUMENT_MATCHING,
-        label=0,
-        candidate=tuple(tokenize(corrupted, vocab)),
-        candidate_text=corrupted,
-        reference=None,
-        reference_text=None,
-        source_doc_id=doc.id,
-        negative_strategy="bm25_swap",
+    return (
+        LabeledExample(DOCUMENT_MATCHING, 1, doc.reference_summary, None, doc.id),
+        LabeledExample(DOCUMENT_MATCHING, 0, corrupted, None, doc.id, "bm25_swap"),
     )
-    return positive, negative
 
 
 def generate_dataset(
     corpus: Corpus,
     index: Bm25Index,
-    vocab: Vocabulary,
     kind: str,
     n_pairs: int,
     rng_seed: int,
@@ -224,11 +199,17 @@ def generate_dataset(
     """Exactly ``n_pairs`` positives and ``n_pairs`` negatives, interleaved
     positive/negative. Source documents are sampled without replacement while
     they last, with replacement beyond that. Documents with no usable
-    neighbor are skipped and redrawn."""
+    neighbor are skipped and redrawn. The index must list the corpus's
+    documents in corpus order."""
     if kind not in (SUMMARY_MATCHING, DOCUMENT_MATCHING):
         raise ValueError(f"unknown dataset kind: {kind}")
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if index.doc_ids != [doc.id for doc in corpus.documents]:
+        raise ValueError(
+            f"the index was built from another corpus ({len(index.doc_ids)} indexed "
+            f"documents, {len(corpus)} in the corpus)"
+        )
     if len(corpus) < 2:
         raise ValueError("corpus too small: need at least 2 documents")
     make_pair = (
@@ -252,7 +233,7 @@ def generate_dataset(
         ordinal = queue[pos]
         pos += 1
         try:
-            positive, negative = make_pair(corpus, index, vocab, ordinal, rng)
+            positive, negative = make_pair(corpus, index, ordinal, rng)
         except ValueError:
             failures += 1
             if failures > len(corpus) + n_pairs:
@@ -268,7 +249,9 @@ def to_scenario_examples(
     dataset: list[LabeledExample], corpus: Corpus, vocab: Vocabulary
 ) -> list[ScenarioExample]:
     """summary_matching -> one SR plus one SDR example (source document
-    attached); document_matching -> one SD example. Labels carry over."""
+    attached); document_matching -> one SD example. Labels carry over. The
+    candidate and reference are tokenized once per example, and each source
+    document once per call."""
     doc_tokens: dict[str, tuple[int, ...]] = {}
 
     def tokens_of(doc_id: str) -> tuple[int, ...]:
@@ -279,49 +262,33 @@ def to_scenario_examples(
 
     out: list[ScenarioExample] = []
     for ex in dataset:
+        candidate = tuple(tokenize(ex.candidate, vocab))
+        document = tokens_of(ex.doc_id)
         if ex.kind == SUMMARY_MATCHING:
-            out.append(
-                ScenarioExample("SR", ex.label, ex.candidate, reference=ex.reference)
-            )
+            reference = tuple(tokenize(ex.reference, vocab))
+            out.append(ScenarioExample("SR", ex.label, candidate, reference=reference))
             out.append(
                 ScenarioExample(
-                    "SDR",
-                    ex.label,
-                    ex.candidate,
-                    reference=ex.reference,
-                    document=tokens_of(ex.source_doc_id),
+                    "SDR", ex.label, candidate, reference=reference, document=document
                 )
             )
         else:
-            out.append(
-                ScenarioExample(
-                    "SD", ex.label, ex.candidate, document=tokens_of(ex.source_doc_id)
-                )
-            )
+            out.append(ScenarioExample("SD", ex.label, candidate, document=document))
     return out
 
 
 def write_dataset_jsonl(dataset: list[LabeledExample], path: str | Path) -> None:
-    """Text is stored detokenized; token ids are recovered at load time."""
+    """One JSON object per example, keyed by its field names in field order."""
     with atomic_write(path) as fh:
         for ex in dataset:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": ex.kind,
-                        "label": ex.label,
-                        "candidate": ex.candidate_text,
-                        "reference": ex.reference_text,
-                        "doc_id": ex.source_doc_id,
-                        "negative_strategy": ex.negative_strategy,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(ex), ensure_ascii=False) + "\n")
 
 
-def read_dataset_jsonl(path: str | Path, vocab: Vocabulary) -> list[LabeledExample]:
+def read_dataset_jsonl(path: str | Path) -> list[LabeledExample]:
+    """Read a file written by write_dataset_jsonl; keys that are not fields
+    are ignored. A line that is not such an object, misses a field, or
+    fails the example's checks raises ``ValueError`` with its number."""
+    names = [f.name for f in fields(LabeledExample)]
     out: list[LabeledExample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -329,31 +296,7 @@ def read_dataset_jsonl(path: str | Path, vocab: Vocabulary) -> list[LabeledExamp
                 continue
             try:
                 row = json.loads(line)
-                kind = row["kind"]
-                candidate_text, reference_text = row["candidate"], row["reference"]
-                if not isinstance(candidate_text, str):
-                    raise ValueError(f"candidate must be a string, got {candidate_text!r}")
-                if not isinstance(reference_text, (str, type(None))):
-                    raise ValueError(f"reference must be a string, got {reference_text!r}")
-                doc_id = row["doc_id"]
-                if not isinstance(doc_id, str):
-                    raise ValueError(f"doc_id must be a string, got {doc_id!r}")
-                out.append(
-                    LabeledExample(
-                        kind=kind,
-                        label=row["label"],
-                        candidate=tuple(tokenize(candidate_text, vocab)),
-                        candidate_text=candidate_text,
-                        reference=(
-                            tuple(tokenize(reference_text, vocab))
-                            if kind == SUMMARY_MATCHING and reference_text is not None
-                            else None
-                        ),
-                        reference_text=reference_text,
-                        source_doc_id=doc_id,
-                        negative_strategy=row["negative_strategy"],
-                    )
-                )
+                out.append(LabeledExample(**{name: row[name] for name in names}))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed dataset line {lineno}: {exc}") from exc
     return out

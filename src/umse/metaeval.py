@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import atomic_write
+
 DIMENSIONS = ("coherence", "consistency", "fluency", "relevance")
 
 
@@ -414,7 +416,7 @@ def write_annotations_jsonl(
 ) -> None:
     """First line is a header object declaring the rating scale."""
     low, high = scale
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps({"rating_scale": [low, high]}) + "\n")
         for ann in annotations:
             fh.write(

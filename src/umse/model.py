@@ -96,39 +96,38 @@ def prefix_permutation(prefix_len: int, scenario: str) -> tuple[int, ...]:
     raise ValueError(f"unknown scenario: {scenario}")
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """Canonical parameter order; initialization draws follow it."""
-    names = ["tok_emb", "pos_emb", "prefix_base"]
-    for l in range(config.n_layers):
-        names += [
-            f"layer{l}.attn_ln.gamma",
-            f"layer{l}.attn_ln.beta",
-            f"layer{l}.attn.wq",
-            f"layer{l}.attn.bq",
-            f"layer{l}.attn.wk",
-            f"layer{l}.attn.wv",
-            f"layer{l}.attn.bv",
-            f"layer{l}.attn.wo",
-            f"layer{l}.attn.bo",
-            f"layer{l}.ffn_ln.gamma",
-            f"layer{l}.ffn_ln.beta",
-            f"layer{l}.ffn.w1",
-            f"layer{l}.ffn.b1",
-            f"layer{l}.ffn.w2",
-            f"layer{l}.ffn.b2",
-        ]
-    names += ["final_ln.gamma", "final_ln.beta"]
-    names += ["head.w1", "head.b1", "head.w2", "head.b2", "head.w3", "head.b3"]
-    return names
-
-
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in canonical order; initialization draws
+    follow it."""
     z = config.hidden_dim
     d1, d2, d3 = config.mlp_dims
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, z),
         "pos_emb": (config.max_len, z),
         "prefix_base": (config.prefix_len, z),
+    }
+    for l in range(config.n_layers):
+        pre = f"layer{l}."
+        # no key bias: it adds a per-row constant to the attention logits,
+        # which the softmax cancels, leaving the parameter untrainable
+        shapes.update({
+            pre + "attn_ln.gamma": (z,),
+            pre + "attn_ln.beta": (z,),
+            pre + "attn.wq": (z, z),
+            pre + "attn.bq": (z,),
+            pre + "attn.wk": (z, z),
+            pre + "attn.wv": (z, z),
+            pre + "attn.bv": (z,),
+            pre + "attn.wo": (z, z),
+            pre + "attn.bo": (z,),
+            pre + "ffn_ln.gamma": (z,),
+            pre + "ffn_ln.beta": (z,),
+            pre + "ffn.w1": (z, config.ffn_dim),
+            pre + "ffn.b1": (config.ffn_dim,),
+            pre + "ffn.w2": (config.ffn_dim, z),
+            pre + "ffn.b2": (z,),
+        })
+    shapes.update({
         "final_ln.gamma": (z,),
         "final_ln.beta": (z,),
         "head.w1": (z, d1),
@@ -137,29 +136,19 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "head.b2": (d2,),
         "head.w3": (d2, d3),
         "head.b3": (d3,),
-    }
-    for l in range(config.n_layers):
-        shapes[f"layer{l}.attn_ln.gamma"] = (z,)
-        shapes[f"layer{l}.attn_ln.beta"] = (z,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[f"layer{l}.attn.{w}"] = (z, z)
-        # no key bias: it adds a per-row constant to the attention logits,
-        # which the softmax cancels, leaving the parameter untrainable
-        for b in ("bq", "bv", "bo"):
-            shapes[f"layer{l}.attn.{b}"] = (z,)
-        shapes[f"layer{l}.ffn_ln.gamma"] = (z,)
-        shapes[f"layer{l}.ffn_ln.beta"] = (z,)
-        shapes[f"layer{l}.ffn.w1"] = (z, config.ffn_dim)
-        shapes[f"layer{l}.ffn.b1"] = (config.ffn_dim,)
-        shapes[f"layer{l}.ffn.w2"] = (config.ffn_dim, z)
-        shapes[f"layer{l}.ffn.b2"] = (z,)
+    })
     return shapes
+
+
+def param_names(config: ModelConfig) -> list[str]:
+    """Canonical parameter order: that of ``param_shapes``."""
+    return list(param_shapes(config))
 
 
 def init_parameters(config: ModelConfig) -> dict[str, np.ndarray]:
     """Embeddings and prefix rows uniform in [-0.1, 0.1]; weight matrices
     Xavier-uniform; norms at identity; biases zero. One seeded generator,
-    draws in param_names order, so init is a pure function of the config.
+    draws in canonical order, so init is a pure function of the config.
 
     Two departures from plain Xavier bias the encoder toward lexical
     matching from the first step, which is the behavior every scenario
@@ -171,10 +160,8 @@ def init_parameters(config: ModelConfig) -> dict[str, np.ndarray]:
     remain independent parameters and drift apart during training.
     """
     rng = np.random.default_rng(config.init_seed)
-    shapes = param_shapes(config)
     params: dict[str, np.ndarray] = {}
-    for name in param_names(config):
-        shape = shapes[name]
+    for name, shape in param_shapes(config).items():
         leaf = name.rsplit(".", 1)[-1]
         if name in ("tok_emb", "pos_emb", "prefix_base"):
             params[name] = rng.uniform(-0.1, 0.1, size=shape)
@@ -386,7 +373,6 @@ def _head_row(params: dict[str, np.ndarray], pooled: np.ndarray):
 
 @dataclass
 class LayerCache:
-    h_in: np.ndarray
     ln1_xhat: np.ndarray
     ln1_invstd: np.ndarray
     q: np.ndarray
@@ -395,7 +381,6 @@ class LayerCache:
     attn: list[np.ndarray]  # per example, (1, heads, L, L)
     ctx: np.ndarray
     a_in: np.ndarray
-    h_mid: np.ndarray
     ln2_xhat: np.ndarray
     ln2_invstd: np.ndarray
     f_in: np.ndarray
@@ -416,14 +401,12 @@ class ForwardCache:
     pool_counts: np.ndarray  # (B,) rows pooled per example
     emb: np.ndarray
     layers: list[LayerCache] = field(default_factory=list)
-    h_pre_final: np.ndarray | None = None
     final_xhat: np.ndarray | None = None
     final_invstd: np.ndarray | None = None
     h_enc: np.ndarray | None = None
     pooled: np.ndarray | None = None
     head_a1: np.ndarray | None = None
     head_a2: np.ndarray | None = None
-    logits: np.ndarray | None = None
     probs: np.ndarray | None = None
 
     def segment(self, i: int) -> slice:
@@ -502,14 +485,13 @@ def forward_batch(
         h_out += h_mid
         cache.layers.append(
             LayerCache(
-                h_in=h, ln1_xhat=xhat1, ln1_invstd=invstd1, q=q, k=k, v=v,
-                attn=attn, ctx=ctx, a_in=a_in, h_mid=h_mid, ln2_xhat=xhat2,
+                ln1_xhat=xhat1, ln1_invstd=invstd1, q=q, k=k, v=v,
+                attn=attn, ctx=ctx, a_in=a_in, ln2_xhat=xhat2,
                 ln2_invstd=invstd2, f_in=f_in, u1=u1, act=act, gelu_t=gelu_t,
             )
         )
         h = h_out
 
-    cache.h_pre_final = h
     h_enc, cache.final_xhat, cache.final_invstd = _layer_norm(
         h, params["final_ln.gamma"], params["final_ln.beta"]
     )
@@ -528,7 +510,6 @@ def forward_batch(
     if not np.isfinite(logits).all():
         raise FloatingPointError("numerical divergence")
     cache.head_a1, cache.head_a2 = a1, a2
-    cache.logits = logits
     cache.probs = _softmax_last(logits)
     return cache
 

@@ -95,8 +95,8 @@ def small_training_setup():
     vocab = build_vocab(corpus)
     index = build_index(corpus, vocab)
     streams: dict[str, list] = {}
-    summary = generate_dataset(corpus, index, vocab, SUMMARY_MATCHING, 24, 12)
-    document = generate_dataset(corpus, index, vocab, DOCUMENT_MATCHING, 24, 13)
+    summary = generate_dataset(corpus, index, SUMMARY_MATCHING, 24, 12)
+    document = generate_dataset(corpus, index, DOCUMENT_MATCHING, 24, 13)
     for ex in to_scenario_examples(summary, corpus, vocab) + to_scenario_examples(
         document, corpus, vocab
     ):
@@ -262,7 +262,7 @@ def test_criterion_4_data_construction_contract(tmp_path):
     failures = []
     sizes = {}
     for kind in (SUMMARY_MATCHING, DOCUMENT_MATCHING):
-        first = generate_dataset(corpus, index, vocab, kind, 15000, 12)
+        first = generate_dataset(corpus, index, kind, 15000, 12)
         sizes[kind] = len(first)
         if len(first) != 30000:
             failures.append(f"{kind}: {len(first)} examples, wanted 30000")
@@ -275,16 +275,16 @@ def test_criterion_4_data_construction_contract(tmp_path):
             for ex in first:
                 if ex.label == 1:
                     continue
-                cached = lead_sentences.get(ex.source_doc_id)
+                cached = lead_sentences.get(ex.doc_id)
                 if cached is None:
-                    doc = corpus[corpus.ordinal_of(ex.source_doc_id)]
+                    doc = corpus[corpus.ordinal_of(ex.doc_id)]
                     cached = set(segment_sentences(lead3(doc)))
-                    lead_sentences[ex.source_doc_id] = cached
-                if len(set(segment_sentences(ex.candidate_text)) & cached) != 1:
+                    lead_sentences[ex.doc_id] = cached
+                if len(set(segment_sentences(ex.candidate)) & cached) != 1:
                     bad += 1
             if bad:
                 failures.append(f"{bad} negatives share != 1 sentence with lead3")
-        second = generate_dataset(corpus, index, vocab, kind, 15000, 12)
+        second = generate_dataset(corpus, index, kind, 15000, 12)
         path_a, path_b = tmp_path / f"{kind}_a.jsonl", tmp_path / f"{kind}_b.jsonl"
         write_dataset_jsonl(first, path_a)
         write_dataset_jsonl(second, path_b)

@@ -17,6 +17,7 @@ from umse.cli import _train_defaults, build_parser, main
 from umse.corpus import word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
 from umse.model import ModelConfig, init_parameters, save_checkpoint
+from umse.retrieval import load_index
 from umse.training import TrainConfig
 
 SNAPSHOT_DIR = Path(__file__).parent / "data" / "cli_help"
@@ -240,6 +241,49 @@ class TestGendata:
         assert err.count("\n") == 1
         assert json.loads(err)["error"].startswith("truncated index file")
 
+
+    @pytest.mark.parametrize("n_docs", ["30", "50"])
+    def test_index_of_another_corpus_is_json_error(self, ws, tmp_path, n_docs):
+        # a smaller and a larger corpus than the one the index was built from
+        other = tmp_path / "other.jsonl"
+        run_ok(["synth", "--out", other, "--n-docs", n_docs, "--topic-count", "5"])
+        run_ok(["build", "--corpus", other, "--out-dir", tmp_path])
+        for corpus, artifacts in ((other, ws["artifacts"]), (ws["corpus"], tmp_path)):
+            code, out, err = run_cli(
+                [
+                    "gendata",
+                    "--corpus", corpus,
+                    "--vocab", artifacts / "vocab.txt",
+                    "--index", artifacts / "index.bin",
+                    "--out-dir", tmp_path / "data",
+                    "--n-pairs", "12",
+                ]
+            )
+            assert (code, out) == (1, "")
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"].startswith("the index was built from another corpus")
+            assert list((tmp_path / "data").iterdir()) == []
+
+    def test_vocab_smaller_than_the_index_is_json_error(self, ws, tmp_path):
+        words = ws["vocab"].read_text(encoding="utf-8").splitlines()
+        short = tmp_path / "vocab.txt"
+        short.write_text("\n".join(words[:10]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            [
+                "gendata",
+                "--corpus", ws["corpus"],
+                "--vocab", short,
+                "--index", ws["index"],
+                "--out-dir", tmp_path / "data",
+                "--n-pairs", "12",
+            ]
+        )
+        assert (code, out) == (1, "")
+        last = load_index(ws["index"]).terms[-1]
+        assert json.loads(err) == {
+            "error": f"vocab {short} has 14 tokens, but the index names token id {last}"
+        }
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("n_pairs", ["0", "-3"])
     def test_non_positive_pair_count_is_json_error(self, ws, tmp_path, n_pairs):
@@ -760,7 +804,7 @@ class TestParallelScore:
     @pytest.mark.parametrize(
         "first, message",
         [
-            ("empty", "candidate must be non-empty"),
+            ("empty", "input line 12: candidate must be non-empty"),
             ("missing", "input line 12: missing field 'reference'"),
         ],
     )

@@ -434,6 +434,15 @@ class TestAnnotations:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert json.loads(first) == {"rating_scale": [1.0, 5.0]}
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "anns.jsonl"
+        write_annotations_jsonl([_make_annotation("d0", "s0", 2.0)], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_annotations_jsonl([_make_annotation("d1", "s0", 3.0), object()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["anns.jsonl"]
+
     @pytest.mark.parametrize("literal", ['"1"', "true", "NaN", "null"])
     def test_scale_bounds_must_be_finite_numbers(self, tmp_path, literal):
         path = tmp_path / "anns.jsonl"

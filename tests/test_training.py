@@ -47,8 +47,8 @@ def streams():
     corpus = gen_synthetic_corpus(n_docs=24, topic_count=4, rng_seed=12)
     vocab = build_vocab(corpus, min_frequency=1)
     index = build_index(corpus, vocab)
-    sm = generate_dataset(corpus, index, vocab, SUMMARY_MATCHING, n_pairs=16, rng_seed=1)
-    dm = generate_dataset(corpus, index, vocab, DOCUMENT_MATCHING, n_pairs=16, rng_seed=2)
+    sm = generate_dataset(corpus, index, SUMMARY_MATCHING, n_pairs=16, rng_seed=1)
+    dm = generate_dataset(corpus, index, DOCUMENT_MATCHING, n_pairs=16, rng_seed=2)
     out = {"SR": [], "SD": [], "SDR": []}
     for ex in to_scenario_examples(sm + dm, corpus, vocab):
         out[ex.scenario].append(ex)
@@ -406,8 +406,8 @@ class TestTrain:
         corpus = gen_synthetic_corpus(n_docs=100, topic_count=8, rng_seed=12)
         vocab = build_vocab(corpus, min_frequency=1)
         index = build_index(corpus, vocab)
-        sm = generate_dataset(corpus, index, vocab, SUMMARY_MATCHING, n_pairs=100, rng_seed=1)
-        dm = generate_dataset(corpus, index, vocab, DOCUMENT_MATCHING, n_pairs=100, rng_seed=2)
+        sm = generate_dataset(corpus, index, SUMMARY_MATCHING, n_pairs=100, rng_seed=1)
+        dm = generate_dataset(corpus, index, DOCUMENT_MATCHING, n_pairs=100, rng_seed=2)
         datasets = {"SR": [], "SD": [], "SDR": []}
         for ex in to_scenario_examples(sm + dm, corpus, vocab):
             datasets[ex.scenario].append(ex)
