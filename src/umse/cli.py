@@ -17,7 +17,6 @@ import argparse
 import ctypes
 import dataclasses
 import json
-import os
 import platform
 import sys
 import time
@@ -60,6 +59,7 @@ from .model import (
     init_parameters,
     load_checkpoint,
     score,
+    worker_pool,
 )
 from .retrieval import build_index, load_index, save_index
 from .training import TrainConfig, grad_check, train
@@ -180,15 +180,19 @@ def cmd_gendata(args: argparse.Namespace) -> int:
             f"vocab {args.vocab} has {len(vocab)} tokens, "
             f"but the index names token id {index.terms[-1]}"
         )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # the document-matching stream gets its own seed so the two files do
     # not sample source documents in lockstep
-    for kind, seed_offset, filename in (
-        (SUMMARY_MATCHING, 0, "summary_matching.jsonl"),
-        (DOCUMENT_MATCHING, 1, "document_matching.jsonl"),
-    ):
-        dataset = generate_dataset(corpus, index, kind, cfg["n_pairs"], cfg["seed"] + seed_offset)
+    datasets = [
+        (kind, filename, generate_dataset(corpus, index, kind, cfg["n_pairs"], cfg["seed"] + off))
+        for kind, off, filename in (
+            (SUMMARY_MATCHING, 0, "summary_matching.jsonl"),
+            (DOCUMENT_MATCHING, 1, "document_matching.jsonl"),
+        )
+    ]
+    # created only now, so a rejected run leaves no directory behind
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for kind, filename, dataset in datasets:
         write_dataset_jsonl(dataset, out_dir / filename)
         print(f"{kind}: {len(dataset)}")
     return 0
@@ -200,14 +204,16 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_memory() -> None:
-    """Let the C allocator reuse the memory each training step frees.
+    """Let the C allocator reuse the memory each training step or scored
+    row frees.
 
-    A step allocates and frees tens of megabytes of arrays. Under glibc's
+    A step or a row allocates and frees megabytes of arrays. Under glibc's
     default thresholds most of it is unmapped or trimmed when freed and
-    faulted back in page by page by the next step, which cost about 15% of
-    the step time on a 2-core VM. Serving arrays of up to 32 MB from the
-    heap and keeping up to 256 MB of it free changes where arrays live,
-    never a value. Other C libraries are left as they are.
+    faulted back in page by page by the next one, which cost about 15% of
+    the step time and about 10% of the scoring time on a 2-core VM.
+    Serving arrays of up to 32 MB from the heap and keeping up to 256 MB of
+    it free changes where arrays live, never a value. Other C libraries are
+    left as they are.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -299,21 +305,16 @@ class _ScoreJob:
     rows: list[tuple[int, dict]]
 
 
-def _usable_cores() -> int:
-    """The CPUs in this process's affinity mask, so taskset limits it; 1
-    where the platform does not report one."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _score_chunk(job: _ScoreJob, start: int, stop: int) -> tuple[list[float], Exception | None]:
-    """Tokenize and score rows ``start:stop`` in order. A failing row ends
-    the chunk: the values before it are returned with its error, which
-    names the row's input line."""
+def _score_chunk(
+    job: _ScoreJob, bounds: tuple[int, int]
+) -> tuple[list[float], Exception | None]:
+    """Tokenize and score the rows ``start:stop`` that ``bounds`` names, in
+    order. A failing row ends the chunk: the values before it are returned
+    with its error, which names the row's input line."""
     need_ref = job.scenario in ("SR", "SDR")
     need_doc = job.scenario in ("SD", "SDR")
     values: list[float] = []
+    start, stop = bounds
     for lineno, row in job.rows[start:stop]:
         try:
             cand = tuple(tokenize(_field(row, "candidate", lineno), job.vocab))
@@ -342,18 +343,6 @@ def _score_chunk(job: _ScoreJob, start: int, stop: int) -> tuple[list[float], Ex
     return values, None
 
 
-_worker_job: _ScoreJob | None = None  # set only inside pool workers
-
-
-def _adopt_job(job: _ScoreJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _score_worker_chunk(bounds: tuple[int, int]) -> tuple[list[float], Exception | None]:
-    return _score_chunk(_worker_job, *bounds)
-
-
 def _in_order(chunks) -> list[float]:
     """Concatenate chunk results in input order; raise the first error."""
     values: list[float] = []
@@ -365,32 +354,13 @@ def _in_order(chunks) -> list[float]:
 
 
 def _score_rows(job: _ScoreJob) -> list[float]:
-    """Score every row in input order, in contiguous chunks spread over a
-    fork pool of one worker per usable core; inline with one worker or where
-    fork is unavailable. A row's bytes do not depend on which process scores
-    it: the encoder is batch-invariant, and the workers inherit the job and
-    the BLAS settings from the fork. Every worker has exited on return, on
-    success and on error."""
+    """Score every row in input order, in contiguous chunks spread over
+    ``worker_pool``. A row's bytes do not depend on which process scores
+    it: the encoder is batch-invariant."""
     n = len(job.rows)
     bounds = [(i, min(i + _SCORE_CHUNK, n)) for i in range(0, n, _SCORE_CHUNK)]
-    workers = min(_usable_cores(), len(bounds))
-    if workers > 1:
-        # imported here: loading the pool machinery would cost every other
-        # command about 2 MB of resident memory
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(workers, context, _adopt_job, (job,))
-            try:
-                return _in_order(pool.map(_score_worker_chunk, bounds))
-            except BrokenProcessPool as exc:
-                raise OSError(f"a scoring worker died: {exc}") from exc
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return _in_order(_score_chunk(job, *b) for b in bounds)
+    with worker_pool(job, len(bounds), "scoring") as pool:
+        return _in_order(pool.map(_score_chunk, bounds))
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -410,6 +380,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
         if fusion is not None and scenario != "SDR":
             raise ValueError("fusion requires scenario SDR")
+        _keep_freed_memory()
         params, model_config = load_checkpoint(args.checkpoint)
         vocab = Vocabulary.load(args.vocab)
         if len(vocab) != model_config.vocab_size:

@@ -211,10 +211,6 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return [vocab.id_of(tok) for tok in word_tokens(text)]
 
 
-def detokenize(ids: list[int], vocab: Vocabulary) -> str:
-    return " ".join(vocab.id_to_token[i] for i in ids)
-
-
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w"):
     """Open a temporary file beside ``path`` (UTF-8 text, or binary with

@@ -18,12 +18,16 @@ three affine layers with tanh after the first two, softmax on two logits,
 and the positive-class probability is the score.
 
 All math is float64. The forward pass records the intermediates needed for
-the manual reverse pass (see the training module).
+the manual reverse pass (see the training module). ``worker_pool`` is the
+fork pool that scoring and training spread their work over.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,7 +58,6 @@ class ModelConfig:
     prefix_len: int = 16
     max_len: int = 512
     mlp_dims: tuple[int, int, int] = ()
-    dropout: float = 0.0
     init_seed: int = 12
 
     def __post_init__(self) -> None:
@@ -72,8 +75,6 @@ class ModelConfig:
             )
         if self.mlp_dims[-1] != 2:
             raise ValueError("classifier head must end in 2 logits")
-        if self.dropout != 0.0:
-            raise ValueError("only dropout 0.0 is supported")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -81,6 +82,11 @@ class ModelConfig:
     @staticmethod
     def from_json(text: str) -> "ModelConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("model config must be a JSON object")
+        # checkpoints written before dropout was removed carry "dropout": 0.0
+        if raw.pop("dropout", 0.0) != 0.0:
+            raise ValueError("only dropout 0.0 is supported")
         raw["mlp_dims"] = tuple(raw["mlp_dims"])
         return ModelConfig(**raw)
 
@@ -143,6 +149,17 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def param_names(config: ModelConfig) -> list[str]:
     """Canonical parameter order: that of ``param_shapes``."""
     return list(param_shapes(config))
+
+
+def param_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Each name's array as a view of consecutive elements of ``flat``, in
+    the order of ``shapes``."""
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[off : off + size].reshape(shape)
+        off += size
+    return views
 
 
 def init_parameters(config: ModelConfig) -> dict[str, np.ndarray]:
@@ -575,51 +592,136 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    """Read a file written by save_checkpoint. Every read is bounds-checked,
-    and the parameters must be exactly those of ``param_shapes(config)``:
+    """Read a file written by save_checkpoint. Every read is bounds-checked
+    against the file size, and each payload is read straight into its own
+    array. The parameters must be exactly those of ``param_shapes(config)``:
     a file that ends early, carries an unreadable config, or holds a
     missing, unknown, repeated or misshapen parameter raises ``ValueError``."""
-    data = Path(path).read_bytes()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise ValueError(f"not a checkpoint file: {path}")
-    view = memoryview(data)  # slices of it copy nothing
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a checkpoint file: {path}")
+        off = len(CHECKPOINT_MAGIC)
 
-    def take(size: int, off: int) -> tuple[memoryview, int]:
-        if off + size > len(data):
-            raise ValueError(f"truncated checkpoint: {path}")
-        return view[off : off + size], off + size
+        def reserve(n: int) -> None:
+            nonlocal off
+            if off + n > size:
+                raise ValueError(f"truncated checkpoint: {path}")
+            off += n
 
-    def unpack(fmt: str, off: int) -> tuple[tuple, int]:
-        raw, off = take(struct.calcsize(fmt), off)
-        return struct.unpack(fmt, raw), off
+        def take(n: int) -> bytes:
+            reserve(n)
+            raw = fh.read(n)
+            if len(raw) != n:  # the file shrank while it was read
+                raise ValueError(f"truncated checkpoint: {path}")
+            return raw
 
-    def corrupt(what: str) -> ValueError:
-        return ValueError(f"corrupt checkpoint {path}: {what}")
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    (config_len,), off = unpack("<I", len(CHECKPOINT_MAGIC))
-    blob, off = take(config_len, off)
-    try:
-        config = ModelConfig.from_json(str(blob, "utf-8"))
-    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-        raise corrupt(f"unreadable config ({exc})") from exc
-    shapes = param_shapes(config)
-    (count,), off = unpack("<I", off)
-    params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,), off = unpack("<H", off)
-        raw, off = take(name_len, off)
-        (ndim,), off = unpack("<B", off)
-        shape, off = unpack(f"<{ndim}I", off)
-        name = str(raw, "utf-8", "replace")
-        if name not in shapes or name in params:
-            raise corrupt(f"unexpected parameter {name!r}")
-        if shape != shapes[name]:
-            raise corrupt(f"parameter {name} has shape {shape}, the config needs {shapes[name]}")
-        payload, off = take(8 * int(np.prod(shape)), off)
-        params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        def corrupt(what: str) -> ValueError:
+            return ValueError(f"corrupt checkpoint {path}: {what}")
+
+        (config_len,) = unpack("<I")
+        blob = take(config_len)
+        try:
+            config = ModelConfig.from_json(str(blob, "utf-8"))
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            raise corrupt(f"unreadable config ({exc})") from exc
+        shapes = param_shapes(config)
+        (count,) = unpack("<I")
+        params: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            raw = take(name_len)
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            name = str(raw, "utf-8", "replace")
+            if name not in shapes or name in params:
+                raise corrupt(f"unexpected parameter {name!r}")
+            if shape != shapes[name]:
+                raise corrupt(
+                    f"parameter {name} has shape {shape}, the config needs {shapes[name]}"
+                )
+            reserve(8 * math.prod(shape))  # before allocating: the config may be corrupt
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise ValueError(f"truncated checkpoint: {path}")
+            params[name] = arr
     missing = sorted(set(shapes) - set(params))
     if missing:
         raise corrupt(f"missing parameter {missing[0]!r}")
-    if off != len(data):
-        raise corrupt(f"{len(data) - off} bytes after the last parameter")
+    if off != size:
+        raise corrupt(f"{size - off} bytes after the last parameter")
     return params, config
+
+
+def _usable_cores() -> int:
+    """The CPUs in this process's affinity mask, so taskset limits it; 1
+    where the platform does not report one."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_worker_job = None  # set only inside pool workers
+
+
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _call_with_job(call):
+    fn, arg = call
+    return fn(_worker_job, arg)
+
+
+class WorkerPool:
+    """Runs ``fn(job, arg)`` for each of a list of arguments, on ``workers``
+    forked processes or, with ``executor`` None, inline."""
+
+    def __init__(self, job, executor=None, workers: int = 1) -> None:
+        self.job = job
+        self.executor = executor
+        self.workers = workers
+
+    def map(self, fn, args):
+        """The results in argument order, as an iterator; ``fn`` must be a
+        module-level function, which is sent to a worker by name."""
+        if self.executor is None:
+            return (fn(self.job, arg) for arg in args)
+        return self.executor.map(_call_with_job, [(fn, arg) for arg in args])
+
+
+@contextlib.contextmanager
+def worker_pool(job, max_workers: int, what: str):
+    """A ``WorkerPool`` of one forked worker per usable core, at most
+    ``max_workers``; inline with one worker or where fork is unavailable.
+
+    The workers fork when the first call is submitted and adopt ``job``
+    then, so it is never pickled; what they must see change afterwards
+    lives in shared memory that ``job`` holds. They inherit the BLAS
+    settings too, so a call gives the same bits in any process. A worker
+    that dies ends the block with ``OSError``, and every worker has exited
+    when it is left.
+    """
+    workers = min(_usable_cores(), max_workers)
+    if workers > 1:
+        # imported here: loading the pool machinery would cost every other
+        # command about 2 MB of resident memory
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            executor = ProcessPoolExecutor(workers, context, _adopt_job, (job,))
+            try:
+                yield WorkerPool(job, executor, workers)
+            except BrokenProcessPool as exc:
+                raise OSError(f"a {what} worker died: {exc}") from exc
+            finally:
+                executor.shutdown(cancel_futures=True)
+            return
+    yield WorkerPool(job)

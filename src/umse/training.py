@@ -10,12 +10,19 @@ Three modes: ``unified`` (all scenario streams, permuted prefix),
 ``joint_no_prefix`` (same streams, prefix slots removed and the bank left
 untouched), ``single_scenario`` (one stream). Streams are interleaved
 round-robin; the loss is the summed binary cross-entropy over each batch.
+
+A batch's gradient is the left-to-right sum, in example order, of each
+example's own gradient. ``train`` splits every batch by example over one
+forked worker per usable core, the workers sharing parameters, moments and
+gradients through one shared mapping, and the sum makes the result the
+same bits for any number of workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -36,9 +43,12 @@ from .model import (
     forward_batch,
     init_parameters,
     param_names,
+    param_shapes,
+    param_views,
     prefix_permutation,
     save_checkpoint,
     score,
+    worker_pool,
 )
 
 _CLAMP = 1.0e-12
@@ -131,19 +141,20 @@ def example_layout(
     return assemble_input(ex.scenario, ex.candidate, ex.reference, ex.document, config, use_prefix)
 
 
-def _ln_backward(dy, xhat, invstd, gamma):
-    """Layer-norm gradients over packed rows; the input gradient is
-    ``invstd * (dxhat - m1 - xhat * m2)``, evaluated in place."""
+def _ln_backward(dy, xhat, invstd, gamma, colsum, prefix: str):
+    """Layer-norm gradients over packed rows. Each example's ``gamma`` and
+    ``beta`` gradients go to ``colsum``; the input gradient is
+    ``invstd * (dxhat - m1 - xhat * m2)``, evaluated in place and returned."""
     prod = dy * xhat
-    dgamma = prod.sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    colsum(prefix + "gamma", prod)
+    colsum(prefix + "beta", dy)
     dxhat = dy * gamma
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = np.multiply(dxhat, xhat, out=prod).mean(axis=-1, keepdims=True)
     dxhat -= m1
     dxhat -= np.multiply(xhat, m2, out=prod)
     dxhat *= invstd
-    return dxhat, dgamma, dbeta
+    return dxhat
 
 
 class Gradients(dict):
@@ -153,12 +164,15 @@ class Gradients(dict):
     touched; every other row of its gradient is exactly zero. Clipping and
     AdamW use that to skip work on the untouched rows without changing a
     bit of their result, and ``backward(..., out=grads)`` re-zeroes only
-    those rows when it reuses the arrays for the next batch.
+    those rows when it reuses the arrays for the next batch. ``flat`` is
+    the one buffer, in ``param_shapes`` order, that every array views when
+    ``backward`` or ``train`` made them, and None for separate arrays.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
+    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None) -> None:
         super().__init__(arrays)
         self.rows: dict[str, np.ndarray] = {}
+        self.flat = flat
 
 
 def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
@@ -175,64 +189,99 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return dprobs
 
 
-def backward(
+# an example's gradient of these tables is scattered from its
+# embedding-input rows instead of being kept in its slot
+_EMBEDDINGS = ("tok_emb", "pos_emb", "prefix_base")
+
+
+def _slot_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """What one example's gradient slot holds: its two probabilities, the
+    gradient of its embedding-input rows, and its own gradient of every
+    other parameter. Those parameters come last in ``param_shapes`` order,
+    so the tail of a slot lines up with the tail of a ``Gradients.flat``."""
+    dense = {n: s for n, s in param_shapes(config).items() if n not in _EMBEDDINGS}
+    return {"probs": (2,), "emb_rows": (config.max_len, config.hidden_dim), **dense}
+
+
+def _slot_size(config: ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in _slot_shapes(config).values())
+
+
+class _Slots:
+    """One gradient slot per example of a batch: the rows of ``flat``, and
+    their parts by name in ``views``; ``dense`` is the length of the tail
+    that holds the per-example parameter gradients."""
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray) -> None:
+        shapes = _slot_shapes(config)
+        self.flat = flat
+        self.views = [param_views(row, shapes) for row in flat]
+        self.dense = flat.shape[1] - math.prod(shapes["probs"]) - math.prod(shapes["emb_rows"])
+
+
+def _example_gradients(
     params: dict[str, np.ndarray],
     config: ModelConfig,
-    batch: list[ScenarioExample],
-    use_prefix: bool = True,
-    out: Gradients | None = None,
-) -> tuple[float, Gradients]:
-    """Summed cross-entropy loss of the batch and its exact gradient for
-    every parameter (zero where a parameter is unused). ``out``, the
-    gradients of an earlier call, is overwritten and returned instead of
-    allocating new arrays."""
-    if not batch:
-        raise ValueError("empty batch")
-    layouts = [example_layout(ex, config, use_prefix) for ex in batch]
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    layouts: list[InputLayout],
+    labels: list[int],
+    slots: list[dict[str, np.ndarray]],
+) -> None:
+    """One packed forward and backward over ``layouts``, writing each
+    example's probabilities, embedding-input gradient and own gradient of
+    every other parameter into its slot: a weight's is ``X_i.T @ dY_i`` over
+    the example's rows, a bias's or norm's the sum over them. Every row
+    operation is batch-invariant and the head runs one example at a time,
+    so a slot's bits do not depend on which other examples share the call.
+    """
     cache = forward_batch(params, config, layouts)
-    loss = cross_entropy_loss(cache.probs[:, 1], labels)
-
-    if out is None:
-        grads = Gradients({name: np.zeros_like(arr) for name, arr in params.items()})
-    else:
-        grads = out
-        for name, g in grads.items():
-            if name in grads.rows:
-                g[grads.rows[name]] = 0.0
-            else:
-                g.fill(0.0)
-    n = len(batch)
+    n = len(layouts)
     z = config.hidden_dim
     heads = config.n_heads
     segments = [cache.segment(i) for i in range(n)]
 
-    # softmax cross-entropy collapses to probs minus one-hot targets
-    dlogits = cache.probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    def outer(name: str, x: np.ndarray, dy: np.ndarray) -> None:
+        for slot, rows in zip(slots, segments):
+            np.matmul(x[rows].T, dy[rows], out=slot[name])
 
-    grads["head.w3"] += cache.head_a2.T @ dlogits
-    grads["head.b3"] += dlogits.sum(axis=0)
-    da2 = dlogits @ params["head.w3"].T
-    du2 = da2 * (1.0 - cache.head_a2**2)
-    grads["head.w2"] += cache.head_a1.T @ du2
-    grads["head.b2"] += du2.sum(axis=0)
-    da1 = du2 @ params["head.w2"].T
-    du1 = da1 * (1.0 - cache.head_a1**2)
-    grads["head.w1"] += cache.pooled.T @ du1
-    grads["head.b1"] += du1.sum(axis=0)
-    dpooled = du1 @ params["head.w1"].T
+    def colsum(name: str, dy: np.ndarray) -> None:
+        for slot, rows in zip(slots, segments):
+            np.sum(dy[rows], axis=0, out=slot[name])
+
+    def back(dy: np.ndarray, name: str) -> np.ndarray:
+        """``dy @ W.T`` against a row-major copy of ``W.T``: OpenBLAS gives
+        a row of a product the same bits for any other rows only when the
+        right operand is row-major, not a transposed view."""
+        return dy @ np.ascontiguousarray(params[name].T)
+
+    # softmax cross-entropy collapses to probs minus one-hot targets; the
+    # head runs on one pooled row at a time, as in the forward
+    dpooled = np.empty((n, z))
+    for i, slot in enumerate(slots):
+        slot["probs"][...] = cache.probs[i]
+        dlogits = cache.probs[i : i + 1].copy()
+        dlogits[0, labels[i]] -= 1.0
+        a1, a2 = cache.head_a1[i : i + 1], cache.head_a2[i : i + 1]
+        np.matmul(a2.T, dlogits, out=slot["head.w3"])
+        np.sum(dlogits, axis=0, out=slot["head.b3"])
+        du2 = back(dlogits, "head.w3")
+        du2 *= 1.0 - a2**2
+        np.matmul(a1.T, du2, out=slot["head.w2"])
+        np.sum(du2, axis=0, out=slot["head.b2"])
+        du1 = back(du2, "head.w2")
+        du1 *= 1.0 - a1**2
+        np.matmul(cache.pooled[i : i + 1].T, du1, out=slot["head.w1"])
+        np.sum(du1, axis=0, out=slot["head.b1"])
+        dpooled[i : i + 1] = back(du1, "head.w1")
 
     # every pooled (non-prefix) row of an example gets its share of the
     # pooled gradient
     content = cache.ids >= 0
     dh_enc = np.repeat(dpooled / cache.pool_counts[:, None], np.diff(cache.offsets), axis=0)
     dh_enc *= content[:, None]
-    dh, dg, db = _ln_backward(
-        dh_enc, cache.final_xhat, cache.final_invstd, params["final_ln.gamma"]
+    dh = _ln_backward(
+        dh_enc, cache.final_xhat, cache.final_invstd, params["final_ln.gamma"], colsum,
+        "final_ln.",
     )
-    grads["final_ln.gamma"] += dg
-    grads["final_ln.beta"] += db
 
     scale = 1.0 / np.sqrt(z // heads)
     for l in reversed(range(config.n_layers)):
@@ -240,22 +289,20 @@ def backward(
         pre = f"layer{l}."
 
         dh_mid = dh.copy()
-        grads[pre + "ffn.w2"] += lc.act.T @ dh
-        grads[pre + "ffn.b2"] += dh.sum(axis=0)
-        du = _gelu_grad(lc.u1, lc.gelu_t, upstream=dh @ params[pre + "ffn.w2"].T)
-        grads[pre + "ffn.w1"] += lc.f_in.T @ du
-        grads[pre + "ffn.b1"] += du.sum(axis=0)
-        dx, dg, db = _ln_backward(
-            du @ params[pre + "ffn.w1"].T, lc.ln2_xhat, lc.ln2_invstd, params[pre + "ffn_ln.gamma"]
+        outer(pre + "ffn.w2", lc.act, dh)
+        colsum(pre + "ffn.b2", dh)
+        du = _gelu_grad(lc.u1, lc.gelu_t, upstream=back(dh, pre + "ffn.w2"))
+        outer(pre + "ffn.w1", lc.f_in, du)
+        colsum(pre + "ffn.b1", du)
+        dh_mid += _ln_backward(
+            back(du, pre + "ffn.w1"), lc.ln2_xhat, lc.ln2_invstd,
+            params[pre + "ffn_ln.gamma"], colsum, pre + "ffn_ln.",
         )
-        grads[pre + "ffn_ln.gamma"] += dg
-        grads[pre + "ffn_ln.beta"] += db
-        dh_mid += dx
 
         dh = dh_mid.copy()  # residual into the block input
-        grads[pre + "attn.wo"] += lc.ctx.T @ dh_mid
-        grads[pre + "attn.bo"] += dh_mid.sum(axis=0)
-        dctx = dh_mid @ params[pre + "attn.wo"].T
+        outer(pre + "attn.wo", lc.ctx, dh_mid)
+        colsum(pre + "attn.bo", dh_mid)
+        dctx = back(dh_mid, pre + "attn.wo")
         dq, dk, dv = np.empty_like(dctx), np.empty_like(dctx), np.empty_like(dctx)
         for rows, attn in zip(segments, lc.attn):
             q, k, v, dc = (_heads(x, rows, heads) for x in (lc.q, lc.k, lc.v, dctx))
@@ -265,35 +312,93 @@ def backward(
             np.matmul(dscores.transpose(0, 1, 3, 2), q, out=_heads(dk, rows, heads))
         dq *= scale
         dk *= scale
-        grads[pre + "attn.wq"] += lc.a_in.T @ dq
-        grads[pre + "attn.bq"] += dq.sum(axis=0)
-        grads[pre + "attn.wk"] += lc.a_in.T @ dk
-        grads[pre + "attn.wv"] += lc.a_in.T @ dv
-        grads[pre + "attn.bv"] += dv.sum(axis=0)
-        da_in = dq @ params[pre + "attn.wq"].T
-        da_in += dk @ params[pre + "attn.wk"].T
-        da_in += dv @ params[pre + "attn.wv"].T
-        dx, dg, db = _ln_backward(da_in, lc.ln1_xhat, lc.ln1_invstd, params[pre + "attn_ln.gamma"])
-        grads[pre + "attn_ln.gamma"] += dg
-        grads[pre + "attn_ln.beta"] += db
-        dh += dx
+        outer(pre + "attn.wq", lc.a_in, dq)
+        colsum(pre + "attn.bq", dq)
+        outer(pre + "attn.wk", lc.a_in, dk)
+        outer(pre + "attn.wv", lc.a_in, dv)
+        colsum(pre + "attn.bv", dv)
+        da_in = back(dq, pre + "attn.wq")
+        da_in += back(dk, pre + "attn.wk")
+        da_in += back(dv, pre + "attn.wv")
+        dh += _ln_backward(
+            da_in, lc.ln1_xhat, lc.ln1_invstd, params[pre + "attn_ln.gamma"], colsum,
+            pre + "attn_ln.",
+        )
 
-    for rows, layout in zip(segments, cache.layouts):
-        grads["pos_emb"][: layout.length] += dh[rows]
+    for slot, rows in zip(slots, segments):
+        slot["emb_rows"][: rows.stop - rows.start] = dh[rows]
+
+
+def _sum_examples(
+    slots: _Slots, layouts: list[InputLayout], labels: list[int], grads: Gradients
+) -> float:
+    """The batch's summed loss; overwrites ``grads`` with the left-to-right
+    sum, in example order, of the examples' own gradients. Those of the
+    dense parameters are the slots' tails; those of the embedding tables
+    are scattered from each slot's embedding-input rows, a token's rows
+    summed in position order within the example."""
+    n = len(layouts)
+    dense = grads.flat[grads.flat.size - slots.dense :]
+    dense.fill(0.0)
+    for row in slots.flat[:n]:
+        dense += row[row.size - slots.dense :]
+
+    tok, pos, prefix = (grads[name] for name in _EMBEDDINGS)
+    if "tok_emb" in grads.rows:
+        tok[grads.rows["tok_emb"]] = 0.0
+    else:
+        tok.fill(0.0)
+    pos.fill(0.0)
+    prefix.fill(0.0)
+    touched = []
+    for slot, layout in zip(slots.views, layouts):
+        d = slot["emb_rows"][: layout.length]
+        pos[: layout.length] += d
         if layout.n_prefix:
             perm = prefix_permutation(layout.n_prefix, layout.scenario)
-            first = rows.start + 1
-            grads["prefix_base"][list(perm)] += dh[first : first + layout.n_prefix]
-    grads.rows = {"tok_emb": np.unique(cache.ids[content])}
-    # one scatter, example by example in position order, as a loop would add
-    np.add.at(grads["tok_emb"], cache.ids[content], dh[content])
+            prefix[list(perm)] += d[1 : 1 + layout.n_prefix]
+        ids = np.asarray(layout.ids, dtype=np.int64)
+        content = ids >= 0
+        rows, where = np.unique(ids[content], return_inverse=True)
+        own = np.zeros((len(rows), tok.shape[1]))
+        np.add.at(own, where, d[content])  # in position order
+        tok[rows] += own
+        touched.append(rows)
+    grads.rows = {"tok_emb": np.unique(np.concatenate(touched))}
 
     for name, g in grads.items():
         if name in grads.rows:
             g = g[grads.rows[name]]
         if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient in {name}")
-    return loss, grads
+    probs = np.array([slot["probs"][1] for slot in slots.views[:n]])
+    return cross_entropy_loss(probs, labels)
+
+
+def backward(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    batch: list[ScenarioExample],
+    use_prefix: bool = True,
+    out: Gradients | None = None,
+) -> tuple[float, Gradients]:
+    """Summed cross-entropy loss of the batch and its exact gradient for
+    every parameter (zero where a parameter is unused): the left-to-right
+    sum, in example order, of the examples' own gradients, so the bits do
+    not depend on how the batch is split. ``out``, the gradients of an
+    earlier call, is overwritten and returned instead of allocating new
+    arrays."""
+    if not batch:
+        raise ValueError("empty batch")
+    layouts = [example_layout(ex, config, use_prefix) for ex in batch]
+    labels = [ex.label for ex in batch]
+    slots = _Slots(config, np.empty((len(batch), _slot_size(config))))
+    _example_gradients(params, config, layouts, labels, slots.views)
+    if out is None:
+        shapes = param_shapes(config)
+        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        out = Gradients(param_views(flat, shapes), flat)
+    return _sum_examples(slots, layouts, labels, out), out
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -340,7 +445,7 @@ def _adamw_update(p, m, v, g, config: TrainConfig, lr: float, bc1: float, bc2: f
     is ``x`` up to the sign of a zero moment, which leaves every nonzero
     parameter as it is.
     """
-    width = max(1, p[0].size)
+    width = max(1, math.prod(p.shape[1:]))
     scratch_a = np.empty_like(p[: _rows_per_chunk(width)])
     scratch_b = np.empty_like(scratch_a)
     for chunk in _row_chunks(p.shape[0], width):
@@ -366,6 +471,24 @@ def _adamw_update(p, m, v, g, config: TrainConfig, lr: float, bc1: float, bc2: f
         pc -= a
 
 
+def _adamw_rows(p, m, v, g, rows, config: TrainConfig, lr: float, bc1: float, bc2: float) -> None:
+    """One AdamW update of ``p`` and its moments. ``rows``, when given, are
+    the only rows of ``g`` that may be nonzero: every row gets the
+    decay-only update and then those rows the full update, from their
+    values before the step; the result equals the dense update bit for bit."""
+    if rows is None:
+        _adamw_update(p, m, v, g, config, lr, bc1, bc2)
+        return
+    touched = p[rows], m[rows], v[rows]
+    _adamw_update(p, m, v, None, config, lr, bc1, bc2)
+    _adamw_update(*touched, g[rows], config, lr, bc1, bc2)
+    p[rows], m[rows], v[rows] = touched
+
+
+def _bias_corrections(t: int) -> tuple[float, float]:
+    return 1.0 - _BETA1**t, 1.0 - _BETA2**t
+
+
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -375,24 +498,32 @@ def adamw_step(
     learning_rate: float | None = None,
 ) -> None:
     """Decoupled weight decay applied to every updated parameter. A table
-    listed in ``Gradients.rows`` gets the decay-only update on every row
-    and then the full update on its touched rows, from their values before
-    the step; the result equals the dense update bit for bit."""
+    listed in ``Gradients.rows`` is updated as ``_adamw_rows`` describes."""
     lr = config.learning_rate if learning_rate is None else learning_rate
     state.t += 1
-    bc1 = 1.0 - _BETA1**state.t
-    bc2 = 1.0 - _BETA2**state.t
+    bc1, bc2 = _bias_corrections(state.t)
     sparse = getattr(grads, "rows", {})
     for name in names if names is not None else params:
-        p, m, v = params[name], state.m[name], state.v[name]
-        rows = sparse.get(name)
-        if rows is None:
-            _adamw_update(p, m, v, grads[name], config, lr, bc1, bc2)
-            continue
-        touched = p[rows], m[rows], v[rows]
-        _adamw_update(p, m, v, None, config, lr, bc1, bc2)
-        _adamw_update(*touched, grads[name][rows], config, lr, bc1, bc2)
-        p[rows], m[rows], v[rows] = touched
+        _adamw_rows(
+            params[name], state.m[name], state.v[name], grads[name], sparse.get(name),
+            config, lr, bc1, bc2,
+        )
+
+
+def _count_correct(
+    params: dict[str, np.ndarray],
+    config: ModelConfig,
+    examples: list[ScenarioExample],
+    use_prefix: bool,
+) -> int:
+    """Examples whose score falls on the label's side of 0.5, scored one at
+    a time: the packed forward gives the same bits in any batch, and a
+    batch of one is the fastest way through it."""
+    correct = 0
+    for ex in examples:
+        s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document, use_prefix)
+        correct += int((s.score >= 0.5) == bool(ex.label))
+    return correct
 
 
 def evaluate_accuracy(
@@ -401,19 +532,13 @@ def evaluate_accuracy(
     examples: list[ScenarioExample],
     use_prefix: bool = True,
 ) -> float:
-    """Fraction of examples whose score falls on the label's side of 0.5.
-    Examples are scored one at a time: the packed forward gives the same
-    bits in any batch, and a batch of one is the fastest way through it."""
+    """Fraction of examples whose score falls on the label's side of 0.5."""
     if not examples:
         raise ValueError("no examples to evaluate")
-    correct = 0
-    for ex in examples:
-        s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document, use_prefix)
-        correct += int((s.score >= 0.5) == bool(ex.label))
-    return correct / len(examples)
+    return _count_correct(params, config, examples, use_prefix) / len(examples)
 
 
-def _round_robin(per_stream: list[list[list[ScenarioExample]]]) -> list[list[ScenarioExample]]:
+def _round_robin(per_stream: list[list]) -> list:
     out = []
     depth = max(len(s) for s in per_stream)
     for i in range(depth):
@@ -421,6 +546,143 @@ def _round_robin(per_stream: list[list[list[ScenarioExample]]]) -> list[list[Sce
             if i < len(stream):
                 out.append(stream[i])
     return out
+
+
+def _balanced_slices(weights: list[int], parts: int) -> list[tuple[int, int]]:
+    """At most ``parts`` non-empty contiguous ``[start, stop)`` ranges of
+    the items, each cut where the running weight comes nearest an equal
+    share. The cut only balances the work: any split gives the same bits."""
+    parts = min(parts, len(weights))
+    cumulative = np.cumsum(weights)
+    bounds = [0]
+    for k in range(1, parts):
+        share = cumulative[-1] * k / parts
+        cut = int(np.argmin(np.abs(cumulative - share))) + 1
+        bounds.append(min(max(cut, bounds[-1] + 1), len(weights) - (parts - k)))
+    bounds.append(len(weights))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _TrainJob:
+    """What the training workers share with the process that drives them.
+
+    The parameters, the AdamW moments ``m`` and ``v``, the reduced gradient
+    (each one flat buffer with per-name views in ``param_shapes`` order),
+    one gradient slot per example of a batch, and the touched rows of the
+    token table live in one anonymous shared mapping. It is made before
+    the pool forks, so every worker reads and writes the same memory and a
+    step sends a worker only the stream and example indices of its slice.
+    """
+
+    def __init__(
+        self,
+        config: ModelConfig,
+        train_config: TrainConfig,
+        use_prefix: bool,
+        train_sets: list[list[ScenarioExample]],
+        holdout_sets: list[list[ScenarioExample]],
+    ) -> None:
+        self.config = config
+        self.train_config = train_config
+        self.use_prefix = use_prefix
+        self.train_sets = train_sets
+        self.holdout_sets = holdout_sets
+        shapes = param_shapes(config)
+        n = sum(math.prod(shape) for shape in shapes.values())
+        batch, slot = train_config.batch_size, _slot_size(config)
+        floats = 4 * n + batch * slot
+        n_touched = batch * config.max_len
+        region = mmap.mmap(-1, 8 * (floats + n_touched))
+        flat = np.frombuffer(region, dtype=np.float64, count=floats)
+        self.touched = np.frombuffer(region, dtype=np.int64, count=n_touched, offset=8 * floats)
+        self.flat = [flat[i * n : (i + 1) * n] for i in range(3)]  # params, m, v
+        self.params, self.m, self.v = (param_views(f, shapes) for f in self.flat)
+        self.grads = Gradients(param_views(flat[3 * n : 4 * n], shapes), flat[3 * n : 4 * n])
+        self.slots = _Slots(config, flat[4 * n :].reshape(batch, slot))
+        # the flat ranges AdamW updates densely: all but the token table,
+        # and the prefix bank only when it is trained (param_shapes puts
+        # tok_emb, pos_emb and prefix_base first)
+        tok, pos, prefix = (math.prod(shapes[name]) for name in _EMBEDDINGS)
+        self.dense_ranges = (
+            [(tok, n)] if use_prefix else [(tok, tok + pos), (tok + pos + prefix, n)]
+        )
+
+
+def _gradient_task(job: _TrainJob, task: tuple[int, tuple[int, ...], int]) -> None:
+    """Examples ``indices`` of training stream ``stream`` into the slots
+    from ``first`` on."""
+    stream, indices, first = task
+    examples = [job.train_sets[stream][i] for i in indices]
+    layouts = [example_layout(ex, job.config, job.use_prefix) for ex in examples]
+    slots = job.slots.views[first : first + len(examples)]
+    _example_gradients(job.params, job.config, layouts, [ex.label for ex in examples], slots)
+
+
+def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
+    """Part ``part`` of ``parts`` of AdamW step ``t``: a contiguous share of
+    the token table's rows, with those of the first ``n_touched`` touched
+    rows that fall in it, and a share of every dense range."""
+    part, parts, t, n_touched = task
+    lr = job.train_config.learning_rate
+    bc1, bc2 = _bias_corrections(t)
+    p, m, v, g = (x["tok_emb"] for x in (job.params, job.m, job.v, job.grads))
+    lo, hi = (len(p) * k // parts for k in (part, part + 1))
+    touched = job.touched[:n_touched]
+    a, b = np.searchsorted(touched, (lo, hi))
+    _adamw_rows(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], touched[a:b] - lo,
+                job.train_config, lr, bc1, bc2)
+    for start, stop in job.dense_ranges:
+        lo, hi = (start + (stop - start) * k // parts for k in (part, part + 1))
+        p, m, v, g = (f[lo:hi] for f in (*job.flat, job.grads.flat))
+        _adamw_rows(p, m, v, g, None, job.train_config, lr, bc1, bc2)
+
+
+def _eval_task(job: _TrainJob, task: tuple[int, int, int]) -> int:
+    stream, start, stop = task
+    return _count_correct(
+        job.params, job.config, job.holdout_sets[stream][start:stop], job.use_prefix
+    )
+
+
+def _train_step(pool, job: _TrainJob, stream: int, indices: np.ndarray, t: int) -> float:
+    """One optimizer step on a batch; returns its summed loss. Raises
+    ``FloatingPointError`` on a non-finite forward or gradient."""
+    examples = [job.train_sets[stream][i] for i in indices]
+    layouts = [example_layout(ex, job.config, job.use_prefix) for ex in examples]
+    slices = _balanced_slices([layout.length for layout in layouts], pool.workers)
+    tasks = [(stream, tuple(int(i) for i in indices[a:b]), a) for a, b in slices]
+    for _ in pool.map(_gradient_task, tasks):
+        pass
+    loss = _sum_examples(job.slots, layouts, [ex.label for ex in examples], job.grads)
+    if not np.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+    if job.train_config.clip_norm is not None:
+        clip_gradients(job.grads, job.train_config.clip_norm)
+    rows = job.grads.rows["tok_emb"]
+    job.touched[: len(rows)] = rows
+    parts = [(part, pool.workers, t, len(rows)) for part in range(pool.workers)]
+    for _ in pool.map(_adamw_task, parts):
+        pass
+    return loss
+
+
+def _holdout_accuracy(pool, job: _TrainJob, active: tuple[str, ...]) -> dict[str, float]:
+    """Each non-empty holdout stream's accuracy, its examples spread over
+    the workers."""
+    tasks = [
+        (s, a, b)
+        for s, held in enumerate(job.holdout_sets)
+        if held
+        for a, b in _balanced_slices([1] * len(held), pool.workers)
+    ]
+    correct = [0] * len(active)
+    for (s, _a, _b), count in zip(tasks, pool.map(_eval_task, tasks)):
+        correct[s] += count
+    return {
+        sc: correct[s] / len(job.holdout_sets[s])
+        for s, sc in enumerate(active)
+        if job.holdout_sets[s]
+    }
 
 
 def train(
@@ -433,102 +695,95 @@ def train(
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
     """Runs the configured mode and returns the parameters of the epoch
     with the best mean held-out accuracy. One JSON progress line per epoch
-    on ``log_stream`` (standard error by default)."""
+    on ``log_stream`` (standard error by default).
+
+    Each batch is split by example over a ``worker_pool``, which then runs
+    the AdamW update by row ranges and the holdout scoring. The gradient
+    is the in-order sum of the examples' own gradients and every other
+    pass is elementwise or per example, so the result is the same bits for
+    any number of workers, inline included.
+    """
     log = log_stream if log_stream is not None else sys.stderr
     started = time.monotonic()
     active = config.active_scenarios()
     for sc in active:
         if not datasets.get(sc):
             raise ValueError(f"no training examples for scenario {sc}")
-    use_prefix = config.mode != "joint_no_prefix"
-    params = {name: arr.copy() for name, arr in init_params.items()}
     rng = np.random.default_rng(config.seed)
 
-    train_sets: dict[str, list[ScenarioExample]] = {}
-    holdout_sets: dict[str, list[ScenarioExample]] = {}
+    train_sets: list[list[ScenarioExample]] = []
+    holdout_sets: list[list[ScenarioExample]] = []
     for sc in active:
         data = list(datasets[sc])
         order = rng.permutation(len(data))
         data = [data[i] for i in order]
         n_hold = min(int(len(data) * config.holdout_fraction), len(data) - 1)
-        holdout_sets[sc] = data[:n_hold]
-        train_sets[sc] = data[n_hold:]
+        holdout_sets.append(data[:n_hold])
+        train_sets.append(data[n_hold:])
 
-    state = AdamWState(params)
-    update_names = [
-        name
-        for name in params
-        if not (config.mode == "joint_no_prefix" and name == "prefix_base")
-    ]
+    use_prefix = config.mode != "joint_no_prefix"
+    job = _TrainJob(model_config, config, use_prefix, train_sets, holdout_sets)
+    for name, arr in job.params.items():
+        arr[...] = init_params[name]
     report = TrainReport(mode=config.mode)
-    grads = None  # reused by every step
     best_params = None
     best_mean_accuracy = -1.0
 
-    for epoch in range(1, config.epochs + 1):
-        streams = []
-        for sc in active:
-            data = train_sets[sc]
-            order = rng.permutation(len(data))
-            streams.append(
-                [
-                    [data[j] for j in order[i : i + config.batch_size]]
-                    for i in range(0, len(data), config.batch_size)
-                ]
+    with worker_pool(job, config.batch_size, "training") as pool:
+        for epoch in range(1, config.epochs + 1):
+            streams = []
+            for s, data in enumerate(train_sets):
+                order = rng.permutation(len(data))
+                streams.append(
+                    [(s, order[i : i + config.batch_size])
+                     for i in range(0, len(data), config.batch_size)]
+                )
+            step_losses = []
+            for stream, indices in _round_robin(streams):
+                try:
+                    loss = _train_step(pool, job, stream, indices, report.total_steps + 1)
+                except FloatingPointError:
+                    report.diverged = True
+                    break
+                if report.initial_loss is None:
+                    report.initial_loss = loss / len(indices)
+                report.total_steps += 1
+                step_losses.append(loss / len(indices))
+            if report.diverged:
+                break
+
+            report.epochs_run = epoch
+            mean_loss = float(np.mean(step_losses))
+            report.epoch_losses.append(mean_loss)
+            accuracy = _holdout_accuracy(pool, job, active)
+            report.holdout_accuracy.append(accuracy)
+            print(
+                json.dumps(
+                    {
+                        "epoch": epoch,
+                        "mean_loss": mean_loss,
+                        "holdout_accuracy": accuracy,
+                        "seconds": round(time.monotonic() - started, 3),
+                    },
+                    sort_keys=True,
+                ),
+                file=log,
+                flush=True,
             )
-        step_losses = []
-        for batch in _round_robin(streams):
-            try:
-                loss, grads = backward(params, model_config, batch, use_prefix, grads)
-            except FloatingPointError:
-                report.diverged = True
-                break
-            if not np.isfinite(loss):
-                report.diverged = True
-                break
-            if report.initial_loss is None:
-                report.initial_loss = loss / len(batch)
-            if config.clip_norm is not None:
-                clip_gradients(grads, config.clip_norm)
-            adamw_step(params, grads, state, config, update_names)
-            report.total_steps += 1
-            step_losses.append(loss / len(batch))
-        if report.diverged:
-            break
+            if accuracy:
+                mean_accuracy = float(np.mean(list(accuracy.values())))
+                if mean_accuracy > best_mean_accuracy:
+                    best_mean_accuracy = mean_accuracy
+                    best_params = job.flat[0].copy()
+                    report.best_epoch = epoch
+                if (
+                    config.target_accuracy is not None
+                    and min(accuracy.values()) >= config.target_accuracy
+                ):
+                    break
 
-        report.epochs_run = epoch
-        mean_loss = float(np.mean(step_losses))
-        report.epoch_losses.append(mean_loss)
-        accuracy = {
-            sc: evaluate_accuracy(params, model_config, holdout_sets[sc], use_prefix)
-            for sc in active
-            if holdout_sets[sc]
-        }
-        report.holdout_accuracy.append(accuracy)
-        print(
-            json.dumps(
-                {
-                    "epoch": epoch,
-                    "mean_loss": mean_loss,
-                    "holdout_accuracy": accuracy,
-                    "seconds": round(time.monotonic() - started, 3),
-                },
-                sort_keys=True,
-            ),
-            file=log,
-            flush=True,
-        )
-        if accuracy:
-            mean_accuracy = float(np.mean(list(accuracy.values())))
-            if mean_accuracy > best_mean_accuracy:
-                best_mean_accuracy = mean_accuracy
-                best_params = {name: arr.copy() for name, arr in params.items()}
-                report.best_epoch = epoch
-            if config.target_accuracy is not None and min(accuracy.values()) >= config.target_accuracy:
-                break
-
-    if best_params is not None:
-        params = best_params
+    final = best_params if best_params is not None else job.flat[0].copy()
+    params = param_views(final, param_shapes(model_config))
     report.wall_clock_seconds = round(time.monotonic() - started, 3)
     if checkpoint_path is not None and not report.diverged:
         save_checkpoint(params, model_config, checkpoint_path)

@@ -5,14 +5,16 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
 import re
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from umse import cli
+from umse import cli, model, training
 from umse.cli import _train_defaults, build_parser, main
 from umse.corpus import word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
@@ -262,7 +264,7 @@ class TestGendata:
             assert (code, out) == (1, "")
             assert err.count("\n") == 1
             assert json.loads(err)["error"].startswith("the index was built from another corpus")
-            assert list((tmp_path / "data").iterdir()) == []
+            assert not (tmp_path / "data").exists()
 
     def test_vocab_smaller_than_the_index_is_json_error(self, ws, tmp_path):
         words = ws["vocab"].read_text(encoding="utf-8").splitlines()
@@ -299,7 +301,7 @@ class TestGendata:
         )
         assert (code, out) == (1, "")
         assert err == json.dumps({"error": "n_pairs must be >= 1"}) + "\n"
-        assert list((tmp_path / "data").iterdir()) == []
+        assert not (tmp_path / "data").exists()
 
 
 # every train flag that sets a ModelConfig or TrainConfig field
@@ -760,7 +762,7 @@ class TestParallelScore:
     def _score(self, ws, monkeypatch, tmp_path, rows, workers, *flags):
         """Run ``umse score`` as if ``workers`` cores were usable; returns
         (exit code, stderr, output path, pool sizes started)."""
-        monkeypatch.setattr(cli, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(model, "_usable_cores", lambda: workers)
         pools = []
 
         def pool(*args):
@@ -822,6 +824,80 @@ class TestParallelScore:
         assert code == 1
         assert err == json.dumps({"error": message}) + "\n"
         assert not out.exists()
+
+
+class TestParallelTrain:
+    """Each batch is split by example over the usable cores. Every worker
+    count writes the same checkpoint and report, and no child process
+    outlives the command, whether it succeeds, diverges or loses a worker."""
+
+    def _train(self, ws, monkeypatch, tmp_path, workers, *flags):
+        """Run ``umse train`` as if ``workers`` cores were usable; returns
+        (exit code, stdout, stderr, checkpoint path, pool sizes started)."""
+        monkeypatch.setattr(model, "_usable_cores", lambda: workers)
+        pools = []
+
+        def pool(*args):
+            pools.append(args[0])
+            return ProcessPoolExecutor(*args)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool)
+        checkpoint = tmp_path / "model.ckpt"
+        code, out, err = run_cli(
+            ["train", "--corpus", ws["corpus"], "--vocab", ws["vocab"],
+             "--summary-matching", ws["data"] / "summary_matching.jsonl",
+             "--document-matching", ws["data"] / "document_matching.jsonl",
+             "--checkpoint-out", checkpoint, *TINY_MODEL_FLAGS, "--epochs", "2",
+             "--learning-rate", "0.001", *flags]
+        )
+        assert multiprocessing.active_children() == []
+        return code, out, err, checkpoint, pools
+
+    def test_any_worker_count_writes_the_same_bytes(self, ws, monkeypatch, tmp_path):
+        checkpoints, reports, logs = [], [], []
+        for workers, started in ((1, []), (2, [2]), (3, [3])):
+            code, out, err, checkpoint, pools = self._train(ws, monkeypatch, tmp_path, workers)
+            assert code == 0, err
+            assert pools == started
+            checkpoints.append(checkpoint.read_bytes())
+            report = json.loads(out)
+            del report["wall_clock_seconds"]
+            reports.append(report)
+            logs.append([
+                {k: v for k, v in json.loads(line).items() if k != "seconds"}
+                for line in err.splitlines()
+            ])
+        assert checkpoints[0] == checkpoints[1] == checkpoints[2]
+        assert reports[0] == reports[1] == reports[2]
+        assert logs[0] == logs[1] == logs[2]
+        assert reports[0]["total_steps"] == 2 * 9  # three streams of 22 in batches of 8
+
+    def test_divergence_leaves_no_child(self, ws, monkeypatch, tmp_path):
+        with np.errstate(all="ignore"):
+            code, out, err, checkpoint, pools = self._train(
+                ws, monkeypatch, tmp_path, 2, "--learning-rate", "1e30"
+            )
+        assert code == 1
+        assert pools == [2]
+        assert json.loads(out)["diverged"] is True
+        assert not checkpoint.exists()
+
+    def test_killed_worker_is_json_error(self, ws, monkeypatch, tmp_path):
+        parent = os.getpid()
+        gradients = training._example_gradients
+
+        def die_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return gradients(*args)
+
+        monkeypatch.setattr(training, "_example_gradients", die_in_a_worker)
+        code, out, err, checkpoint, pools = self._train(ws, monkeypatch, tmp_path, 2)
+        assert (code, out) == (1, "")
+        assert pools == [2]
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"].startswith("a training worker died")
+        assert not checkpoint.exists()
 
 
 def _write_scores(path, triples):

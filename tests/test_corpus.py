@@ -16,7 +16,6 @@ from umse.corpus import (
     Vocabulary,
     atomic_write,
     build_vocab,
-    detokenize,
     gen_synthetic_corpus,
     make_document,
     read_corpus_jsonl,
@@ -71,6 +70,11 @@ class TestWordTokens:
 
     def test_all_punct_chunk(self):
         assert word_tokens("...") == [".", ".", "."]
+
+
+def detokenize(ids: list[int], vocab: Vocabulary) -> str:
+    """The tokens of ``ids`` joined by single spaces."""
+    return " ".join(vocab.id_to_token[i] for i in ids)
 
 
 def _corpus_of(*texts, summaries=None):

@@ -7,6 +7,7 @@ import oracles
 from umse.corpus import CLS_ID, SEP_ID
 from umse.model import (
     _CHUNK,
+    CHECKPOINT_MAGIC,
     DEFAULT_FUSION,
     FUSION_METHODS,
     InputLayout,
@@ -74,8 +75,15 @@ class TestModelConfig:
             small_config(prefix_len=61, max_len=64)
 
     def test_dropout_not_supported(self):
-        with pytest.raises(ValueError):
-            small_config(dropout=0.1)
+        # dropout is no longer a field; a config written with it still
+        # reads when it is 0.0 and is rejected otherwise
+        with pytest.raises(TypeError):
+            small_config(dropout=0.0)
+        text = small_config().to_json()
+        assert ModelConfig.from_json(text[:-1] + ', "dropout": 0.0}') == small_config()
+        for value in ("0.1", "null", '"0.0"'):
+            with pytest.raises(ValueError, match="only dropout 0.0"):
+                ModelConfig.from_json(text[:-1] + f', "dropout": {value}}}')
 
     def test_json_roundtrip(self):
         config = small_config()
@@ -88,7 +96,7 @@ class TestModelConfig:
             init_seed=3,
         )
         assert config.to_json() == (
-            '{"dropout": 0.0, "ffn_dim": 32, "hidden_dim": 16, "init_seed": 3, '
+            '{"ffn_dim": 32, "hidden_dim": 16, "init_seed": 3, '
             '"max_len": 48, "mlp_dims": [48, 16, 2], "n_heads": 2, "n_layers": 2, '
             '"prefix_len": 4, "vocab_size": 40}'
         )
@@ -502,6 +510,41 @@ class TestCheckpoint:
             save_checkpoint(broken, config, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_checkpoint_with_a_dropout_key_loads(self, tmp_path):
+        # checkpoints written while ModelConfig had a dropout field
+        config = small_config()
+        params = init_parameters(config)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, config, path)
+        data = path.read_bytes()
+        n = len(CHECKPOINT_MAGIC)
+        length = int.from_bytes(data[n : n + 4], "little")
+        blob = data[n + 4 : n + 4 + length]
+        old = b'{"dropout": 0.0, ' + blob[1:]
+        path.write_bytes(
+            data[:n] + len(old).to_bytes(4, "little") + old + data[n + 4 + length :]
+        )
+        loaded, loaded_config = load_checkpoint(path)
+        assert loaded_config == config
+        for name in params:
+            assert np.array_equal(loaded[name], params[name])
+
+    def test_huge_table_in_a_short_file_is_truncation(self, tmp_path):
+        # a config that declares a 32 GB token table, in a file that holds
+        # none of it, is rejected before anything is allocated
+        config = ModelConfig(vocab_size=2**31, hidden_dim=2, n_layers=1, n_heads=1,
+                             ffn_dim=2, prefix_len=1, max_len=5, mlp_dims=(2, 2, 2))
+        blob = config.to_json().encode("utf-8")
+        name = b"tok_emb"
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(
+            CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob
+            + (1).to_bytes(4, "little") + len(name).to_bytes(2, "little") + name
+            + bytes([2]) + (2**31).to_bytes(4, "little") + (2).to_bytes(4, "little")
+        )
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

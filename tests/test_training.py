@@ -1,5 +1,6 @@
 """Loss, manual gradients, optimizer and training-loop tests."""
 
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from umse.datagen import (
     generate_dataset,
     to_scenario_examples,
 )
+from umse import model
 from umse.model import (
     ModelConfig,
     init_parameters,
@@ -186,6 +188,40 @@ class TestBackward:
         for name in summed:
             assert np.allclose(packed[name], summed[name], rtol=0, atol=1e-12), name
         assert float(np.abs(packed["prefix_base"]).sum()) > 0.0
+
+    @pytest.mark.parametrize("use_prefix", [True, False])
+    def test_gradient_is_the_in_order_sum_of_its_examples_exactly(self, use_prefix):
+        """Every parameter's batch gradient is the left-to-right sum, from
+        zero, of the examples' own gradients, bit for bit: with tokens
+        repeated within and across examples, and whatever split the
+        examples would get over workers."""
+        config = tiny_config()
+        rng = np.random.default_rng(21)
+        params = {
+            name: p + rng.normal(scale=0.05, size=p.shape)
+            for name, p in init_parameters(config).items()
+        }
+
+        def draw(k):
+            return tuple(int(v) for v in rng.integers(4, 12, size=k))
+
+        batch = [
+            ScenarioExample(
+                sc, j % 2, draw(int(rng.integers(2, 9))),
+                reference=draw(int(rng.integers(2, 12))) if sc in ("SR", "SDR") else None,
+                document=draw(int(rng.integers(2, 20))) if sc in ("SD", "SDR") else None,
+            )
+            for j, sc in enumerate(("SR", "SDR", "SD", "SDR", "SR", "SD", "SR"))
+        ]
+        _, packed = backward(params, config, batch, use_prefix)
+        summed = {name: np.zeros_like(p) for name, p in params.items()}
+        for ex in batch:
+            _, grads = backward(params, config, [ex], use_prefix)
+            for name in summed:
+                summed[name] += grads[name]
+        for name in summed:
+            assert np.array_equal(packed[name], summed[name]), name
+        assert float(np.abs(packed["tok_emb"]).sum()) > 0.0
 
     def test_softmax_backward_matches_dense_expression(self):
         rng = np.random.default_rng(5)
@@ -455,6 +491,26 @@ class TestTrain:
         ).score
         assert after != before
         assert not np.array_equal(params["prefix_base"], prefix_before)
+
+    def test_token_rows_no_batch_touches_split_over_workers(self, streams, monkeypatch):
+        """A worker's share of the token table may hold no row a batch
+        touched; it still gets the decay-only update, and the result is
+        the same bits for any worker count."""
+        config, datasets = streams
+        wide = dataclasses.replace(config, vocab_size=4 * config.vocab_size)
+        tconfig = TrainConfig(epochs=1, holdout_fraction=0.2)
+        trained = []
+        for workers in (1, 3):
+            monkeypatch.setattr(model, "_usable_cores", lambda: workers)
+            params, _ = train(
+                init_parameters(wide), wide, datasets, tconfig, log_stream=io.StringIO()
+            )
+            trained.append(params)
+        for name in trained[0]:
+            assert np.array_equal(trained[0][name], trained[1][name]), name
+        unused = slice(config.vocab_size, None)  # rows no example can touch
+        initial = init_parameters(wide)["tok_emb"][unused]
+        assert not np.array_equal(trained[0]["tok_emb"][unused], initial)
 
     def test_missing_stream_rejected(self, streams):
         config, datasets = streams
