@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import platform
 import sys
@@ -313,17 +314,15 @@ def _score_chunk(
     with its error, which names the row's input line."""
     need_ref = job.scenario in ("SR", "SDR")
     need_doc = job.scenario in ("SD", "SDR")
+    # a document or reference usually serves several candidates in a row
+    ids_of = functools.lru_cache(maxsize=None)(lambda text: tuple(tokenize(text, job.vocab)))
     values: list[float] = []
     start, stop = bounds
     for lineno, row in job.rows[start:stop]:
         try:
             cand = tuple(tokenize(_field(row, "candidate", lineno), job.vocab))
-            ref = (
-                tuple(tokenize(_field(row, "reference", lineno), job.vocab)) if need_ref else None
-            )
-            doc = (
-                tuple(tokenize(_field(row, "document", lineno), job.vocab)) if need_doc else None
-            )
+            ref = ids_of(_field(row, "reference", lineno)) if need_ref else None
+            doc = ids_of(_field(row, "document", lineno)) if need_doc else None
             try:
                 if job.fusion is not None:
                     s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
@@ -369,9 +368,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = _read_jsonl_rows(args.inputs)
     lines: list[str] = []
     if metric is not None:
+        # references repeat across systems: split each distinct one once
+        reference_words = functools.lru_cache(maxsize=None)(word_tokens)
         for lineno, row in rows:
             cand = word_tokens(_field(row, "candidate", lineno))
-            ref = word_tokens(_field(row, "reference", lineno))
+            ref = reference_words(_field(row, "reference", lineno))
             lines.append(_score_line(row, _rouge_score(metric, cand, ref), None, None, metric))
     else:
         if args.checkpoint is None or args.vocab is None or scenario is None:
@@ -406,6 +407,9 @@ def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
         for key in ("doc_id", "system_id", "score"):
             if key not in row:
                 raise ValueError(f"scores line {lineno}: missing field {key!r}")
+        for key in ("doc_id", "system_id"):
+            if not isinstance(row[key], str):
+                raise ValueError(f"scores line {lineno}: field {key!r} must be a string")
         score = finite_number(row["score"], f"scores line {lineno}: score")
         out.append((row["doc_id"], row["system_id"], score))
     return out

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import string
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-_TERMINALS = ".!?"
-_PUNCT = set(string.punctuation)
+_PUNCT = string.punctuation
 
 # Closed guard list: a single period ending one of these chunks never splits.
 # Fixed at 25 entries so segmentation stays deterministic and testable.
@@ -29,6 +29,11 @@ ABBREVIATIONS = frozenset(
         "u.s.", "u.k.", "u.n.", "inc.", "ltd.", "corp.", "vs.",
     }
 )
+_LONGEST_ABBREVIATION = max(map(len, ABBREVIATIONS))
+
+# A maximal run of terminals followed by whitespace or the end of the text.
+# ``\s`` matches exactly the characters for which ``str.isspace()`` is true.
+_SENTENCE_END = re.compile(r"[.!?]+(?=\s|\Z)")
 
 
 def segment_sentences(text: str) -> list[str]:
@@ -42,30 +47,19 @@ def segment_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] not in _TERMINALS:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and text[j] in _TERMINALS:
-            j += 1
-        if j < n and not text[j].isspace():
-            i = j
-            continue
+    for end in _SENTENCE_END.finditer(text):
+        i, j = end.span()
         if j - i == 1 and text[i] == ".":
-            k = i
-            while k > start and not text[k - 1].isspace():
-                k -= 1
-            if text[k:j].lower() in ABBREVIATIONS:
-                i = j
+            # lowercasing never shortens a string, so a chunk longer than
+            # the longest abbreviation cannot be one: look back one further
+            # character than that and take the last whitespace-free piece
+            chunk = text[max(start, j - _LONGEST_ABBREVIATION - 1) : j].rsplit(None, 1)[-1]
+            if chunk.lower() in ABBREVIATIONS:
                 continue
         segment = text[start:j].strip()
         if segment:
             sentences.append(segment)
         start = j
-        i = j
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
@@ -78,19 +72,16 @@ def word_tokens(text: str) -> list[str]:
     (hyphens, apostrophes, dotted abbreviations) stays inside the token."""
     tokens: list[str] = []
     for chunk in text.lower().split():
-        a, b = 0, len(chunk)
-        lead: list[str] = []
-        while a < b and chunk[a] in _PUNCT:
-            lead.append(chunk[a])
-            a += 1
-        trail: list[str] = []
-        while b > a and chunk[b - 1] in _PUNCT:
-            trail.append(chunk[b - 1])
-            b -= 1
-        tokens.extend(lead)
-        if b > a:
-            tokens.append(chunk[a:b])
-        tokens.extend(reversed(trail))
+        core = chunk.strip(_PUNCT)
+        if len(core) == len(chunk):
+            tokens.append(chunk)
+        elif not core:
+            tokens.extend(chunk)
+        else:
+            lead = len(chunk) - len(chunk.lstrip(_PUNCT))
+            tokens.extend(chunk[:lead])
+            tokens.append(core)
+            tokens.extend(chunk[lead + len(core) :])
     return tokens
 
 
@@ -168,9 +159,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def save(self, path: str | Path) -> None:
         # One non-special token per line; line number = id - 4.
         with atomic_write(path) as fh:
@@ -208,7 +196,8 @@ def build_vocab(corpus: Corpus, min_frequency: int = 1) -> Vocabulary:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
-    return [vocab.id_of(tok) for tok in word_tokens(text)]
+    id_of = vocab.token_to_id.get
+    return [id_of(word, UNK_ID) for word in word_tokens(text)]
 
 
 @contextmanager
@@ -256,9 +245,18 @@ def read_corpus_jsonl(path: str | Path) -> Corpus:
                 continue
             try:
                 row = json.loads(line)
-                docs.append(make_document(row["id"], row["text"], row["summary"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"malformed corpus line {lineno}: not a JSON object")
+            for name in ("id", "text", "summary"):
+                if name not in row:
+                    raise ValueError(f"malformed corpus line {lineno}: missing field {name!r}")
+                if not isinstance(row[name], str):
+                    raise ValueError(
+                        f"malformed corpus line {lineno}: field {name!r} must be a string"
+                    )
+            docs.append(make_document(row["id"], row["text"], row["summary"]))
     return Corpus(documents=tuple(docs))
 
 

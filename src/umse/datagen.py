@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 import weakref
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import Corpus, Document, Vocabulary, atomic_write, tokenize
@@ -74,6 +74,10 @@ class LabeledExample:
             value = getattr(self, name)
             if not isinstance(value, str) and not (optional and value is None):
                 raise ValueError(f"{name} must be a string, got {value!r}")
+
+
+# the dataset file's keys, in file order
+_FIELD_NAMES = tuple(f.name for f in fields(LabeledExample))
 
 
 @dataclass(frozen=True)
@@ -281,14 +285,14 @@ def write_dataset_jsonl(dataset: list[LabeledExample], path: str | Path) -> None
     """One JSON object per example, keyed by its field names in field order."""
     with atomic_write(path) as fh:
         for ex in dataset:
-            fh.write(json.dumps(asdict(ex), ensure_ascii=False) + "\n")
+            row = {name: getattr(ex, name) for name in _FIELD_NAMES}
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
 def read_dataset_jsonl(path: str | Path) -> list[LabeledExample]:
     """Read a file written by write_dataset_jsonl; keys that are not fields
     are ignored. A line that is not such an object, misses a field, or
     fails the example's checks raises ``ValueError`` with its number."""
-    names = [f.name for f in fields(LabeledExample)]
     out: list[LabeledExample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -296,7 +300,7 @@ def read_dataset_jsonl(path: str | Path) -> list[LabeledExample]:
                 continue
             try:
                 row = json.loads(line)
-                out.append(LabeledExample(**{name: row[name] for name in names}))
+                out.append(LabeledExample(**{name: row[name] for name in _FIELD_NAMES}))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed dataset line {lineno}: {exc}") from exc
     return out

@@ -236,18 +236,23 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _ngram_counts(tokens, n: int) -> Counter:
+    """Multiset of the n-grams of ``tokens``, each an n-tuple."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
 def rouge_n(candidate, reference, n: int) -> tuple[float, float, float]:
     """Clipped n-gram multiset overlap; returns (precision, recall, f1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    cand = [tuple(candidate[i : i + n]) for i in range(len(candidate) - n + 1)]
-    ref = [tuple(reference[i : i + n]) for i in range(len(reference) - n + 1)]
-    if not cand or not ref:
+    n_cand = len(candidate) - n + 1
+    n_ref = len(reference) - n + 1
+    if n_cand < 1 or n_ref < 1:
         return 0.0, 0.0, 0.0
-    ref_counts = Counter(ref)
-    overlap = sum(min(c, ref_counts[g]) for g, c in Counter(cand).items())
-    precision = overlap / len(cand)
-    recall = overlap / len(ref)
+    ref_counts = _ngram_counts(reference, n)
+    overlap = sum(min(c, ref_counts[g]) for g, c in _ngram_counts(candidate, n).items())
+    precision = overlap / n_cand
+    recall = overlap / n_ref
     return precision, recall, _f1(precision, recall)
 
 
@@ -293,6 +298,9 @@ class HumanAnnotation:
     ratings: dict[str, float]
 
     def __post_init__(self) -> None:
+        for name in ("doc_id", "system_id", "summary"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"field {name!r} must be a string")
         missing = [d for d in DIMENSIONS if d not in self.ratings]
         if missing:
             raise ValueError(f"annotation missing dimensions: {', '.join(missing)}")
@@ -465,13 +473,14 @@ def read_annotations_jsonl(
                 continue
             try:
                 row = json.loads(line)
+                ratings = row["ratings"]
+                if not isinstance(ratings, dict):
+                    raise ValueError("field 'ratings' must be an object")
                 ann = HumanAnnotation(
                     doc_id=row["doc_id"],
                     system_id=row["system_id"],
                     summary=row["summary"],
-                    ratings={
-                        k: finite_number(v, f"{k} rating") for k, v in row["ratings"].items()
-                    },
+                    ratings={k: finite_number(v, f"{k} rating") for k, v in ratings.items()},
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed annotation line {lineno}: {exc}") from exc

@@ -14,6 +14,7 @@ bit for bit, because the seeded training trajectory depends on every bit.
 from __future__ import annotations
 
 import math
+import string
 import struct
 from collections import Counter
 
@@ -257,6 +258,71 @@ def lcs_length_recursive(a, b):
         return max(rec(i - 1, j), rec(i, j - 1))
 
     return rec(len(a), len(b))
+
+
+SENTENCE_TERMINALS = ".!?"
+ASCII_PUNCTUATION = set(string.punctuation)
+
+
+def segment_sentences_loop(text, abbreviations):
+    """Sentence split by a character-by-character scan.
+
+    A maximal run of terminals (``.``, ``!``, ``?``) followed by whitespace
+    or the end of the text ends a sentence, unless the run is one period
+    and the whitespace-delimited chunk ending at it, lowercased, is in
+    ``abbreviations``. Segments are stripped and empty ones dropped.
+    """
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] not in SENTENCE_TERMINALS:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and text[j] in SENTENCE_TERMINALS:
+            j += 1
+        if j < n and not text[j].isspace():
+            i = j
+            continue
+        if j - i == 1 and text[i] == ".":
+            k = i
+            while k > start and not text[k - 1].isspace():
+                k -= 1
+            if text[k:j].lower() in abbreviations:
+                i = j
+                continue
+        segment = text[start:j].strip()
+        if segment:
+            sentences.append(segment)
+        start = j
+        i = j
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def word_tokens_loop(text):
+    """Lowercase, split on whitespace, and peel ASCII punctuation off each
+    chunk's ends one character at a time, each as its own token."""
+    tokens = []
+    for chunk in text.lower().split():
+        a, b = 0, len(chunk)
+        lead = []
+        while a < b and chunk[a] in ASCII_PUNCTUATION:
+            lead.append(chunk[a])
+            a += 1
+        trail = []
+        while b > a and chunk[b - 1] in ASCII_PUNCTUATION:
+            trail.append(chunk[b - 1])
+            b -= 1
+        tokens.extend(lead)
+        if b > a:
+            tokens.append(chunk[a:b])
+        tokens.extend(reversed(trail))
+    return tokens
 
 
 def ngram_clipped_overlap(candidate, reference, n):

@@ -198,6 +198,27 @@ class TestBuild:
         assert code == 1
         assert "malformed corpus line 2" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("text", ["a.", "b."]), ("id", 7), ("text", {"a": 1}), ("summary", None)],
+    )
+    def test_non_string_corpus_field_is_json_error(self, tmp_path, field, value):
+        row = {"id": "a", "text": "x. y.", "summary": "z."}
+        row[field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"id": "b", "text": "x.", "summary": "y."}\n' + json.dumps(row) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(["build", "--corpus", bad, "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            f"malformed corpus line 2: field {field!r} must be a string"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestGendata:
     def test_line_counts_and_balance(self, ws):
@@ -1083,6 +1104,48 @@ class TestEvaluate:
         code, _, err = run_cli(["evaluate", "--scores", bad, "--annotations", ann_path])
         assert code == 1
         assert json.loads(err)["error"] == "scores line 1: missing field 'system_id'"
+
+    @pytest.mark.parametrize("flag", ["--scores", "--baseline"])
+    @pytest.mark.parametrize("key", ["doc_id", "system_id"])
+    @pytest.mark.parametrize("literal", ['["d0"]', '{"a": 1}', "0", "null"])
+    def test_score_line_ids_must_be_strings(self, tmp_path, flag, key, literal):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        row = {"doc_id": "d0", "system_id": "s0", "score": 0.5}
+        row[key] = "ID"
+        bad = tmp_path / "bad.jsonl"
+        line = json.dumps(row).replace('"ID"', literal)
+        bad.write_text(score_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        files = {"--scores": score_path, "--baseline": score_path, flag: bad}
+        code, out, err = run_cli(
+            ["evaluate", "--annotations", ann_path, *(a for kv in files.items() for a in kv)]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == f"scores line 9: field {key!r} must be a string"
+
+    @pytest.mark.parametrize(
+        "key, literal, message",
+        [
+            ("doc_id", '["d0"]', "field 'doc_id' must be a string"),
+            ("system_id", '["s0"]', "field 'system_id' must be a string"),
+            ("doc_id", "3", "field 'doc_id' must be a string"),
+            ("summary", "null", "field 'summary' must be a string"),
+            ("ratings", "[1, 2, 3, 4]", "field 'ratings' must be an object"),
+        ],
+    )
+    def test_annotation_fields_must_be_well_typed(self, tmp_path, key, literal, message):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        lines = ann_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[3])
+        row[key] = "VALUE"
+        lines[3] = json.dumps(row).replace('"VALUE"', literal)
+        ann_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == f"malformed annotation line 4: {message}"
 
     @pytest.mark.parametrize(
         "literal", ["NaN", "Infinity", "-Infinity", "1e400", "[1]", "true", '"0.5"', "null"]

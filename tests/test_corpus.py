@@ -1,12 +1,19 @@
 import json
 import os
+import re
 import stat
+import string
+import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from umse.corpus import (
+    ABBREVIATIONS,
     CLS_ID,
     PAD_ID,
     SEP_ID,
@@ -70,6 +77,55 @@ class TestWordTokens:
 
     def test_all_punct_chunk(self):
         assert word_tokens("...") == [".", ".", "."]
+
+
+def _mixed_case(word: str):
+    return st.tuples(*(st.sampled_from((c.lower(), c.upper())) for c in word)).map("".join)
+
+
+# Pieces that stress the text layer: every ASCII punctuation mark, runs of
+# terminals, the abbreviations in any case, whitespace that str.split()
+# knows but a space test would miss, and letters whose lowercase is longer
+# (U+0130) or that have no one-letter uppercase (U+00DF).
+_HOSTILE_CHARS = (
+    string.punctuation + "ab Z\t\n\u00a0\u2028\u3000\x1c\x1d\x1e\x1f\u0130\u00df"
+)
+_HOSTILE_TEXT = st.lists(
+    st.one_of(
+        st.text(alphabet=_HOSTILE_CHARS, max_size=4),
+        st.sampled_from(["...", "!!", "?!", ".?.", " . ", "\u00a0.", ". \u3000"]),
+        st.sampled_from(sorted(ABBREVIATIONS)).flatmap(_mixed_case),
+    ),
+    max_size=16,
+).map("".join)
+
+
+class TestOracleEquivalence:
+    """The str-method text layer against the character loops it replaced."""
+
+    @pytest.fixture(scope="class")
+    def desk_texts(self):
+        corpus = gen_synthetic_corpus(2000, 50, rng_seed=12)
+        return [t for d in corpus.documents for t in (d.text, d.reference_summary)]
+
+    def test_every_text_of_a_desk_corpus(self, desk_texts):
+        for text in desk_texts:
+            assert segment_sentences(text) == oracles.segment_sentences_loop(text, ABBREVIATIONS)
+            assert word_tokens(text) == oracles.word_tokens_loop(text)
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(_HOSTILE_TEXT)
+    def test_hostile_strings(self, text):
+        assert segment_sentences(text) == oracles.segment_sentences_loop(text, ABBREVIATIONS)
+        assert word_tokens(text) == oracles.word_tokens_loop(text)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # the sentence-end pattern's lookahead uses \s where the loop used
+        # str.isspace(); the two must agree on every code point
+        space = re.compile(r"\s")
+        for code in range(sys.maxunicode + 1):
+            c = chr(code)
+            assert (space.fullmatch(c) is not None) == c.isspace(), hex(code)
 
 
 def detokenize(ids: list[int], vocab: Vocabulary) -> str:
