@@ -167,10 +167,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        """Read a file written by ``save``. A line naming a special token or
+        a token of an earlier line raises ``ValueError``."""
         mapping = {tok: i for i, tok in enumerate(SPECIAL_TOKENS)}
         with open(path, encoding="utf-8") as fh:
             for offset, line in enumerate(fh):
-                mapping[line.rstrip("\n")] = len(SPECIAL_TOKENS) + offset
+                tok = line.rstrip("\n")
+                if tok in mapping:
+                    what = "special" if tok in SPECIAL_TOKENS else "repeated"
+                    raise ValueError(f"vocab {path} line {offset + 1}: {what} token {tok!r}")
+                mapping[tok] = len(SPECIAL_TOKENS) + offset
         return cls(token_to_id=mapping)
 
 

@@ -146,11 +146,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def param_names(config: ModelConfig) -> list[str]:
-    """Canonical parameter order: that of ``param_shapes``."""
-    return list(param_shapes(config))
-
-
 def param_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Each name's array as a view of consecutive elements of ``flat``, in
     the order of ``shapes``."""
@@ -412,7 +407,6 @@ class ForwardCache:
     packed: it holds the rows of all examples back to back, ``(ΣL, ...)``,
     and example ``i`` owns the rows ``segment(i)``."""
 
-    layouts: list[InputLayout]
     offsets: np.ndarray  # (B + 1,) first packed row of each example, then ΣL
     ids: np.ndarray  # (ΣL,) vocabulary ids, -1 on prefix slots
     pool_counts: np.ndarray  # (B,) rows pooled per example
@@ -462,10 +456,7 @@ def forward_batch(
     prefix_base = params["prefix_base"]
     pos_emb = params["pos_emb"]
     emb = params["tok_emb"][np.where(ids == _PREFIX_SLOT, 0, ids)]
-    cache = ForwardCache(
-        layouts=list(layouts), offsets=offsets, ids=ids,
-        pool_counts=np.empty(len(layouts)), emb=emb,
-    )
+    cache = ForwardCache(offsets=offsets, ids=ids, pool_counts=np.empty(len(layouts)), emb=emb)
     segments = [cache.segment(i) for i in range(len(layouts))]
     for rows, layout in zip(segments, layouts):
         if layout.n_prefix:

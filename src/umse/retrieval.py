@@ -211,12 +211,17 @@ def save_index(index: Bm25Index, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> Bm25Index:
     """Read a file written by save_index. A file that ends early raises
-    ``ValueError("truncated index file …")``, and one whose postings are
-    out of order or name a document past the last raises ``ValueError``."""
+    ``ValueError("truncated index file …")``. One with no documents, a
+    ``k1`` or ``b`` out of range, postings out of order or naming a
+    document past the last, or document lengths that are not what
+    build_index writes raises ``ValueError("corrupt index file …")``."""
     data = Path(path).read_bytes()
     if data[:8] != INDEX_MAGIC:
         raise ValueError(f"not an index file (bad magic): {path}")
     truncated = ValueError(f"truncated index file: {path}")
+
+    def corrupt(what: str) -> ValueError:
+        return ValueError(f"corrupt index file ({what}): {path}")
 
     def unpack(fmt: str, off: int) -> tuple[tuple, int]:
         end = off + struct.calcsize(fmt)
@@ -225,6 +230,13 @@ def load_index(path: str | Path) -> Bm25Index:
         return struct.unpack_from(fmt, data, off), end
 
     (k1, b, avg_doc_len, n_docs), off = unpack("<dddI", 8)
+    # written so that NaN fails each check
+    if not (math.isfinite(k1) and k1 > 0.0):
+        raise corrupt(f"k1 {k1} is not finite and positive")
+    if not 0.0 <= b <= 1.0:
+        raise corrupt(f"b {b} is outside [0, 1]")
+    if n_docs == 0:
+        raise corrupt("no documents")
     doc_ids: list[str] = []
     doc_len: list[int] = []
     for _ in range(n_docs):
@@ -232,6 +244,9 @@ def load_index(path: str | Path) -> Bm25Index:
         (dl,), off = unpack("<I", start + id_len)
         doc_ids.append(data[start : start + id_len].decode("utf-8"))
         doc_len.append(dl)
+    # build_index writes the mean exactly, so any other bits are corruption
+    if struct.pack("<d", avg_doc_len) != struct.pack("<d", sum(doc_len) / n_docs):
+        raise corrupt(f"avg_doc_len {avg_doc_len} is not the mean document length")
     (n_terms,), off = unpack("<I", off)
     words = np.frombuffer(data, dtype="<u4", count=(len(data) - off) // 4, offset=off)
     if 2 * n_terms > len(words):
@@ -254,7 +269,9 @@ def load_index(path: str | Path) -> Bm25Index:
     # the binary searches and np.bincount in scoring rely on this order
     keys = np.repeat(terms, counts) * n_docs + ordinals
     if (ordinals >= n_docs).any() or (np.diff(terms) <= 0).any() or (np.diff(keys) <= 0).any():
-        raise ValueError(f"corrupt index file (postings out of order or range): {path}")
+        raise corrupt("postings out of order or range")
+    if (np.bincount(ordinals, weights=tfs, minlength=n_docs) != doc_len).any():
+        raise corrupt("a document length is not the sum of its term frequencies")
     return Bm25Index(
         doc_ids=doc_ids,
         doc_len=doc_len,

@@ -16,6 +16,11 @@ example's own gradient. ``train`` splits every batch by example over one
 forked worker per usable core, the workers sharing parameters, moments and
 gradients through one shared mapping, and the sum makes the result the
 same bits for any number of workers.
+
+AdamW has one path: ``_adamw_task`` updates a contiguous share of the job's
+flat parameter and moment buffers in place, the token table row-sparse and
+every other trained range densely, one share per worker. Each element's
+update reads only that element, so the split changes no bit.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .model import (
     assemble_input,
     forward_batch,
     init_parameters,
-    param_names,
     param_shapes,
     param_views,
     prefix_permutation,
@@ -161,12 +165,13 @@ class Gradients(dict):
     """Parameter name to gradient array, as ``backward`` returns it.
 
     ``rows`` maps the token embedding table to the sorted rows the batch
-    touched; every other row of its gradient is exactly zero. Clipping and
-    AdamW use that to skip work on the untouched rows without changing a
-    bit of their result, and ``backward(..., out=grads)`` re-zeroes only
-    those rows when it reuses the arrays for the next batch. ``flat`` is
-    the one buffer, in ``param_shapes`` order, that every array views when
-    ``backward`` or ``train`` made them, and None for separate arrays.
+    touched; every other row of its gradient is exactly zero. Clipping
+    reads and rescales only those rows, ``_adamw_task`` gives the others
+    the decay-only update, and ``backward(..., out=grads)`` re-zeroes only
+    those rows when it reuses the arrays; none of this changes a bit of
+    the result. ``flat`` is the one buffer, in ``param_shapes`` order, that
+    every array views when ``backward`` or ``train`` made them, and None
+    for separate arrays.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None) -> None:
@@ -401,11 +406,11 @@ def backward(
     return _sum_examples(slots, layouts, labels, out), out
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: Gradients, max_norm: float) -> float:
     """Global-norm clipping, in place; returns the pre-clip norm. A table
     listed in ``Gradients.rows`` is read and rescaled on those rows only,
     since every other row is exactly zero."""
-    rows = getattr(grads, "rows", {})
+    rows = grads.rows
     total = float(
         np.sqrt(
             sum(
@@ -422,13 +427,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
             else:
                 g *= factor
     return total
-
-
-class AdamWState:
-    def __init__(self, params: dict[str, np.ndarray]) -> None:
-        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.t = 0
 
 
 def _adamw_update(p, m, v, g, config: TrainConfig, lr: float, bc1: float, bc2: float) -> None:
@@ -472,42 +470,14 @@ def _adamw_update(p, m, v, g, config: TrainConfig, lr: float, bc1: float, bc2: f
 
 
 def _adamw_rows(p, m, v, g, rows, config: TrainConfig, lr: float, bc1: float, bc2: float) -> None:
-    """One AdamW update of ``p`` and its moments. ``rows``, when given, are
-    the only rows of ``g`` that may be nonzero: every row gets the
-    decay-only update and then those rows the full update, from their
-    values before the step; the result equals the dense update bit for bit."""
-    if rows is None:
-        _adamw_update(p, m, v, g, config, lr, bc1, bc2)
-        return
+    """One AdamW update of ``p`` and its moments, where ``rows`` are the
+    only rows of ``g`` that may be nonzero: every row gets the decay-only
+    update and then those rows the full update, from their values before
+    the step; the result equals the dense update bit for bit."""
     touched = p[rows], m[rows], v[rows]
     _adamw_update(p, m, v, None, config, lr, bc1, bc2)
     _adamw_update(*touched, g[rows], config, lr, bc1, bc2)
     p[rows], m[rows], v[rows] = touched
-
-
-def _bias_corrections(t: int) -> tuple[float, float]:
-    return 1.0 - _BETA1**t, 1.0 - _BETA2**t
-
-
-def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamWState,
-    config: TrainConfig,
-    names: list[str] | None = None,
-    learning_rate: float | None = None,
-) -> None:
-    """Decoupled weight decay applied to every updated parameter. A table
-    listed in ``Gradients.rows`` is updated as ``_adamw_rows`` describes."""
-    lr = config.learning_rate if learning_rate is None else learning_rate
-    state.t += 1
-    bc1, bc2 = _bias_corrections(state.t)
-    sparse = getattr(grads, "rows", {})
-    for name in names if names is not None else params:
-        _adamw_rows(
-            params[name], state.m[name], state.v[name], grads[name], sparse.get(name),
-            config, lr, bc1, bc2,
-        )
 
 
 def _count_correct(
@@ -524,18 +494,6 @@ def _count_correct(
         s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document, use_prefix)
         correct += int((s.score >= 0.5) == bool(ex.label))
     return correct
-
-
-def evaluate_accuracy(
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-    examples: list[ScenarioExample],
-    use_prefix: bool = True,
-) -> float:
-    """Fraction of examples whose score falls on the label's side of 0.5."""
-    if not examples:
-        raise ValueError("no examples to evaluate")
-    return _count_correct(params, config, examples, use_prefix) / len(examples)
 
 
 def _round_robin(per_stream: list[list]) -> list:
@@ -624,7 +582,7 @@ def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     rows that fall in it, and a share of every dense range."""
     part, parts, t, n_touched = task
     lr = job.train_config.learning_rate
-    bc1, bc2 = _bias_corrections(t)
+    bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
     p, m, v, g = (x["tok_emb"] for x in (job.params, job.m, job.v, job.grads))
     lo, hi = (len(p) * k // parts for k in (part, part + 1))
     touched = job.touched[:n_touched]
@@ -634,7 +592,7 @@ def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     for start, stop in job.dense_ranges:
         lo, hi = (start + (stop - start) * k // parts for k in (part, part + 1))
         p, m, v, g = (f[lo:hi] for f in (*job.flat, job.grads.flat))
-        _adamw_rows(p, m, v, g, None, job.train_config, lr, bc1, bc2)
+        _adamw_update(p, m, v, g, job.train_config, lr, bc1, bc2)
 
 
 def _eval_task(job: _TrainJob, task: tuple[int, int, int]) -> int:
@@ -848,7 +806,7 @@ def grad_check(
         return out
 
     h = 1.0e-5
-    names = param_names(config)
+    names = list(param_shapes(config))
     worst = 0.0
     for _ in range(n_coords):
         name = names[int(rng.integers(len(names)))]

@@ -308,6 +308,28 @@ class TestGendata:
         }
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize(
+        "insert, what", [(None, "repeated"), ("[CLS]", "special")]
+    )
+    def test_vocab_line_naming_a_known_token_is_json_error(self, ws, tmp_path, insert, what):
+        words = ws["vocab"].read_text(encoding="utf-8").splitlines()
+        token = words[0] if insert is None else insert
+        bad = tmp_path / "vocab.txt"
+        bad.write_text("\n".join(words[:2] + [token] + words[2:]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            [
+                "gendata",
+                "--corpus", ws["corpus"],
+                "--vocab", bad,
+                "--index", ws["index"],
+                "--out-dir", tmp_path / "data",
+                "--n-pairs", "12",
+            ]
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": f"vocab {bad} line 3: {what} token {token!r}"}
+        assert not (tmp_path / "data").exists()
+
     @pytest.mark.parametrize("n_pairs", ["0", "-3"])
     def test_non_positive_pair_count_is_json_error(self, ws, tmp_path, n_pairs):
         code, out, err = run_cli(

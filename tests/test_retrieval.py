@@ -382,3 +382,43 @@ class TestTruncation:
             path.write_bytes(bytes(data))
             with pytest.raises(ValueError, match="corrupt index file"):
                 load_index(path)
+
+
+class TestCorruptHeader:
+    def test_every_bit_flip_of_avg_and_document_lengths_rejected(self, tmp_path):
+        corpus = gen_synthetic_corpus(40, 5, rng_seed=12)
+        path = tmp_path / "x.idx"
+        save_index(build_index(corpus, build_vocab(corpus, 1)), path)
+        data = path.read_bytes()
+        ends = _section_ends(data)
+        avg_doc_len = range(24, 32)
+        doc_lens = [range(ends[3 + 3 * i], ends[4 + 3 * i]) for i in range(40)]
+        assert all(len(r) == 4 for r in doc_lens)
+        flipped = tmp_path / "flipped.idx"
+        for at in (*avg_doc_len, *(i for r in doc_lens for i in r)):
+            for bit in range(8):
+                bad = bytearray(data)
+                bad[at] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                with pytest.raises(ValueError, match="^corrupt index file"):
+                    load_index(flipped)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(8, 0.0), (8, -1.2), (8, math.inf), (8, math.nan),
+         (16, -0.25), (16, 1.5), (16, math.nan)],
+    )
+    def test_k1_or_b_out_of_range_rejected(self, tmp_path, offset, value):
+        data = bytearray(_small_index_bytes(tmp_path))
+        struct.pack_into("<d", data, offset, value)
+        path = tmp_path / "bad.idx"
+        path.write_bytes(bytes(data))
+        name = "k1" if offset == 8 else "b"
+        with pytest.raises(ValueError, match=f"^corrupt index file \\({name} "):
+            load_index(path)
+
+    def test_no_documents_rejected(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(INDEX_MAGIC + struct.pack("<dddII", 1.2, 0.75, 0.0, 0, 0))
+        with pytest.raises(ValueError, match="no documents"):
+            load_index(path)

@@ -21,22 +21,23 @@ from umse.datagen import (
 from umse import model
 from umse.model import (
     ModelConfig,
+    WorkerPool,
     init_parameters,
     load_checkpoint,
     score,
 )
 from umse.retrieval import build_index
 from umse.training import (
-    AdamWState,
     Gradients,
     TrainConfig,
     TrainReport,
+    _adamw_task,
+    _count_correct,
     _softmax_backward,
-    adamw_step,
+    _TrainJob,
     backward,
     clip_gradients,
     cross_entropy_loss,
-    evaluate_accuracy,
     grad_check,
     tiny_config,
     train,
@@ -265,56 +266,75 @@ class TestGradCheck:
             assert abs(g_fd - x[idx]) / max(abs(x[idx]), 1e-8) < 1e-9
 
 
-class TestOptimizer:
-    def test_zero_learning_rate_is_identity(self):
-        config = tiny_config()
-        params = init_parameters(config)
-        before = {name: arr.copy() for name, arr in params.items()}
-        _, grads = backward(params, config, _sr_batch(config))
-        adamw_step(params, grads, AdamWState(params), TrainConfig(), learning_rate=0.0)
-        for name in params:
-            assert np.array_equal(params[name], before[name])
+def _adamw_job(train_config, use_prefix=True, vocab_size=48):
+    """A training job without examples: only its parameter, moment and
+    gradient buffers are used."""
+    return _TrainJob(tiny_config(vocab_size), train_config, use_prefix, [], [])
 
+
+def _run_adamw(job, parts, t, rows):
+    """AdamW step ``t`` on ``job.grads``, whose token-table rows outside
+    the sorted ``rows`` are zero, run as ``_train_step`` runs it, over an
+    inline pool of ``parts`` workers."""
+    job.touched[: len(rows)] = rows
+    pool = WorkerPool(job, workers=parts)
+    tasks = [(part, pool.workers, t, len(rows)) for part in range(pool.workers)]
+    for _ in pool.map(_adamw_task, tasks):
+        pass
+
+
+class TestOptimizer:
     def test_step_opposes_gradient(self):
-        params = {"w": np.array([1.0, 1.0])}
-        grads = {"w": np.array([1.0, -1.0])}
-        adamw_step(params, grads, AdamWState(params), TrainConfig(weight_decay=0.0), learning_rate=0.1)
-        assert params["w"][0] < 1.0
-        assert params["w"][1] > 1.0
+        job = _adamw_job(TrainConfig(learning_rate=0.1, weight_decay=0.0))
+        job.flat[0][:] = 1.0
+        job.grads["head.b3"][:] = (1.0, -1.0)
+        _run_adamw(job, 2, 1, [])
+        assert job.params["head.b3"][0] < 1.0
+        assert job.params["head.b3"][1] > 1.0
+        assert np.all(job.params["head.w3"] == 1.0)
 
     def test_decoupled_decay_with_zero_gradient(self):
         config = TrainConfig(learning_rate=0.01)
-        params = {"w": np.array([2.0])}
-        grads = {"w": np.array([0.0])}
-        adamw_step(params, grads, AdamWState(params), config)
-        assert params["w"][0] == pytest.approx(2.0 * (1.0 - 0.01 * config.weight_decay))
+        job = _adamw_job(config)
+        job.flat[0][:] = 2.0
+        _run_adamw(job, 3, 1, [])
+        decayed = 2.0 * (1.0 - 0.01 * config.weight_decay)
+        assert job.flat[0] == pytest.approx(decayed, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_adamw_matches_dense_expression_over_steps(self, sparse):
-        # a row-sparse embedding gradient, as backward returns it, whose
-        # untouched rows still decay; the table spans more than one chunk
-        rng = np.random.default_rng(4)
-        shapes = {"tok_emb": (3000, 16), "w": (16, 8), "b": (8,)}
-        params = {name: rng.uniform(-0.1, 0.1, size=shape) for name, shape in shapes.items()}
-        expected = {name: arr.copy() for name, arr in params.items()}
-        m = {name: np.zeros(shape) for name, shape in shapes.items()}
-        v = {name: np.zeros(shape) for name, shape in shapes.items()}
-        state = AdamWState(params)
+    @pytest.mark.parametrize("use_prefix", [True, False])
+    def test_adamw_matches_dense_expression_over_steps(self, use_prefix):
+        """Six steps of the row-split update, over 1, 2 and 3 parts, equal
+        the dense AdamW expression bit for bit on every trained parameter
+        and its moments. The token table gets a row-sparse gradient whose
+        untouched rows still decay, and each third of it spans more than
+        one 32,768-element chunk. Without the prefix the bank, though given
+        a gradient, and its moments stay as they were."""
         config = TrainConfig(learning_rate=1.0e-3)
-        for step in range(1, 7):
-            dense = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-            rows = np.unique(rng.integers(0, 3000, size=40))
-            dense["tok_emb"] = np.zeros(shapes["tok_emb"])
-            dense["tok_emb"][rows] = rng.normal(size=(len(rows), 16))
-            grads = Gradients({name: g.copy() for name, g in dense.items()})
-            if sparse:
-                grads.rows = {"tok_emb": rows}
-            adamw_step(params, grads, state, config)
-            oracles.adamw_step_dense(expected, dense, m, v, step, 1.0e-3)
-            for name in shapes:
-                assert np.array_equal(params[name], expected[name])
-                assert np.array_equal(state.m[name], m[name])
-                assert np.array_equal(state.v[name], v[name])
+        vocab = 7000
+        for parts in (1, 2, 3):
+            rng = np.random.default_rng(4)
+            job = _adamw_job(config, use_prefix, vocab)
+            job.flat[0][:] = rng.uniform(-0.1, 0.1, size=job.flat[0].size)
+            bank = job.params["prefix_base"].copy()
+            trained = [name for name in job.params if use_prefix or name != "prefix_base"]
+            expected = {name: job.params[name].copy() for name in trained}
+            m = {name: np.zeros_like(p) for name, p in expected.items()}
+            v = {name: np.zeros_like(p) for name, p in expected.items()}
+            for t in range(1, 7):
+                job.grads.flat[:] = rng.normal(size=job.grads.flat.size)
+                rows = np.unique(rng.integers(0, vocab, size=40))
+                job.grads["tok_emb"][np.setdiff1d(np.arange(vocab), rows)] = 0.0
+                dense = {name: job.grads[name].copy() for name in trained}
+                _run_adamw(job, parts, t, rows)
+                oracles.adamw_step_dense(expected, dense, m, v, t, 1.0e-3)
+                for name in trained:
+                    assert np.array_equal(job.params[name], expected[name]), (parts, t, name)
+                    assert np.array_equal(job.m[name], m[name]), (parts, t, name)
+                    assert np.array_equal(job.v[name], v[name]), (parts, t, name)
+                if not use_prefix:
+                    assert np.array_equal(job.params["prefix_base"], bank)
+                    assert not job.m["prefix_base"].any()
+                    assert not job.v["prefix_base"].any()
 
     def test_clip_of_row_sparse_gradients_matches_dense(self):
         rng = np.random.default_rng(6)
@@ -323,7 +343,7 @@ class TestOptimizer:
         dense["tok_emb"][rows] = rng.normal(size=(4, 8))
         sparse = Gradients({name: g.copy() for name, g in dense.items()})
         sparse.rows = {"tok_emb": rows}
-        assert clip_gradients(sparse, 1.0) == clip_gradients(dense, 1.0)
+        assert clip_gradients(sparse, 1.0) == clip_gradients(Gradients(dense), 1.0)
         for name in dense:
             assert np.array_equal(sparse[name], dense[name])
 
@@ -342,12 +362,12 @@ class TestOptimizer:
             assert np.array_equal(sparse[name], g * factor)
 
     def test_clip_rescales_only_above_threshold(self):
-        grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
+        grads = Gradients({"a": np.array([3.0, 0.0]), "b": np.array([4.0])})
         norm = clip_gradients(grads, max_norm=1.0)
         assert norm == pytest.approx(5.0)
         total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert total == pytest.approx(1.0)
-        small = {"a": np.array([0.3])}
+        small = Gradients({"a": np.array([0.3])})
         kept = small["a"].copy()
         clip_gradients(small, max_norm=1.0)
         assert np.array_equal(small["a"], kept)
@@ -477,20 +497,23 @@ class TestTrain:
         assert set(report.holdout_accuracy[0]) == {"SD"}
 
     def test_sr_update_moves_sd_scores(self, streams):
+        """Training on SR alone moves the shared prefix bank, and with it
+        the score of an SD example."""
         config, datasets = streams
-        params = init_parameters(config)
+        init = init_parameters(config)
         sd_example = datasets["SD"][0]
-        before = score(
-            params, config, "SD", sd_example.candidate, document=sd_example.document
-        ).score
-        prefix_before = params["prefix_base"].copy()
-        _, grads = backward(params, config, datasets["SR"][:8])
-        adamw_step(params, grads, AdamWState(params), TrainConfig(), learning_rate=1e-3)
-        after = score(
-            params, config, "SD", sd_example.candidate, document=sd_example.document
-        ).score
-        assert after != before
-        assert not np.array_equal(params["prefix_base"], prefix_before)
+
+        def sd_score(params):
+            return score(
+                params, config, "SD", sd_example.candidate, document=sd_example.document
+            ).score
+
+        tconfig = TrainConfig(
+            learning_rate=1e-3, epochs=1, mode="single_scenario", scenario="SR"
+        )
+        params, _ = train(init, config, datasets, tconfig, log_stream=io.StringIO())
+        assert not np.array_equal(params["prefix_base"], init["prefix_base"])
+        assert sd_score(params) != sd_score(init)
 
     def test_token_rows_no_batch_touches_split_over_workers(self, streams, monkeypatch):
         """A worker's share of the token table may hold no row a batch
@@ -604,14 +627,9 @@ class TestEvaluateAccuracy:
         config, datasets = streams
         params = init_parameters(config)
         examples = datasets["SR"][:10]
-        got = evaluate_accuracy(params, config, examples)
+        got = _count_correct(params, config, examples, use_prefix=True)
         manual = 0
         for ex in examples:
             s = score(params, config, "SR", ex.candidate, reference=ex.reference).score
             manual += int((s >= 0.5) == bool(ex.label))
-        assert got == pytest.approx(manual / len(examples))
-
-    def test_empty_rejected(self, streams):
-        config, _ = streams
-        with pytest.raises(ValueError):
-            evaluate_accuracy(init_parameters(config), config, [])
+        assert got == manual
