@@ -21,6 +21,7 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .corpus import (
@@ -47,6 +48,7 @@ from .metaeval import (
     SignificanceEntry,
     evaluate,
     finite_number,
+    ngram_counts,
     read_annotations_jsonl,
     rouge_l,
     rouge_n,
@@ -266,14 +268,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 1 if report.diverged else 0
 
 
-def _rouge_score(metric: str, candidate: list[str], reference: list[str]) -> float:
-    if metric == "rouge1":
-        return rouge_n(candidate, reference, 1)[2]
-    if metric == "rouge2":
-        return rouge_n(candidate, reference, 2)[2]
-    return rouge_l(candidate, reference)[2]
-
-
 def _score_line(row: dict, value: float, scenario, fusion, metric) -> str:
     out: dict = {}
     for key in ("doc_id", "system_id"):
@@ -368,12 +362,20 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = _read_jsonl_rows(args.inputs)
     lines: list[str] = []
     if metric is not None:
-        # references repeat across systems: split each distinct one once
-        reference_words = functools.lru_cache(maxsize=None)(word_tokens)
+        n = {"rouge1": 1, "rouge2": 2}.get(metric)
+
+        # references repeat across systems: split each distinct one, and
+        # count its n-grams, once
+        @functools.lru_cache(maxsize=None)
+        def reference(text: str) -> tuple[list[str], Counter | None]:
+            words = word_tokens(text)
+            return words, ngram_counts(words, n) if n else None
+
         for lineno, row in rows:
             cand = word_tokens(_field(row, "candidate", lineno))
-            ref = reference_words(_field(row, "reference", lineno))
-            lines.append(_score_line(row, _rouge_score(metric, cand, ref), None, None, metric))
+            ref, ref_counts = reference(_field(row, "reference", lineno))
+            value = rouge_n(cand, ref, n, ref_counts)[2] if n else rouge_l(cand, ref)[2]
+            lines.append(_score_line(row, value, None, None, metric))
     else:
         if args.checkpoint is None or args.vocab is None or scenario is None:
             raise ValueError(
@@ -403,6 +405,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
     out = []
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, row in _read_jsonl_rows(path):
         for key in ("doc_id", "system_id", "score"):
             if key not in row:
@@ -411,7 +414,14 @@ def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
             if not isinstance(row[key], str):
                 raise ValueError(f"scores line {lineno}: field {key!r} must be a string")
         score = finite_number(row["score"], f"scores line {lineno}: score")
-        out.append((row["doc_id"], row["system_id"], score))
+        key = (row["doc_id"], row["system_id"])
+        if key in first_line:
+            raise ValueError(
+                f"scores line {lineno}: repeated (doc_id, system_id) {key!r}, "
+                f"first on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        out.append((*key, score))
     return out
 
 

@@ -8,6 +8,7 @@ through explicit seeds.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -87,23 +88,24 @@ def word_tokens(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """A source text with its reference summary, both pre-segmented."""
+    """A source text with its reference summary. Each is segmented into
+    sentences on first read, which only pair generation does."""
 
     id: str
     text: str
-    sentences: tuple[str, ...]
     reference_summary: str
-    reference_sentences: tuple[str, ...]
+
+    @functools.cached_property
+    def sentences(self) -> tuple[str, ...]:
+        return tuple(segment_sentences(self.text))
+
+    @functools.cached_property
+    def reference_sentences(self) -> tuple[str, ...]:
+        return tuple(segment_sentences(self.reference_summary))
 
 
 def make_document(doc_id: str, text: str, reference_summary: str) -> Document:
-    return Document(
-        id=doc_id,
-        text=text,
-        sentences=tuple(segment_sentences(text)),
-        reference_summary=reference_summary,
-        reference_sentences=tuple(segment_sentences(reference_summary)),
-    )
+    return Document(id=doc_id, text=text, reference_summary=reference_summary)
 
 
 @dataclass(frozen=True)

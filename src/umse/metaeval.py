@@ -236,21 +236,26 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
+def ngram_counts(tokens, n: int) -> Counter:
     """Multiset of the n-grams of ``tokens``, each an n-tuple."""
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def rouge_n(candidate, reference, n: int) -> tuple[float, float, float]:
-    """Clipped n-gram multiset overlap; returns (precision, recall, f1)."""
+def rouge_n(
+    candidate, reference, n: int, ref_counts: Counter | None = None
+) -> tuple[float, float, float]:
+    """Clipped n-gram multiset overlap; returns (precision, recall, f1).
+    ``ref_counts``, if given, is ``ngram_counts(reference, n)``, built once
+    by a caller that scores many candidates against one reference."""
     if n < 1:
         raise ValueError("n must be >= 1")
     n_cand = len(candidate) - n + 1
     n_ref = len(reference) - n + 1
     if n_cand < 1 or n_ref < 1:
         return 0.0, 0.0, 0.0
-    ref_counts = _ngram_counts(reference, n)
-    overlap = sum(min(c, ref_counts[g]) for g, c in _ngram_counts(candidate, n).items())
+    if ref_counts is None:
+        ref_counts = ngram_counts(reference, n)
+    overlap = sum(min(c, ref_counts[g]) for g, c in ngram_counts(candidate, n).items())
     precision = overlap / n_cand
     recall = overlap / n_ref
     return precision, recall, _f1(precision, recall)
@@ -468,6 +473,7 @@ def read_annotations_jsonl(
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed annotation header: {exc}") from exc
         out: list[HumanAnnotation] = []
+        first_line: dict[tuple[str, str], int] = {}
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -489,5 +495,12 @@ def read_annotations_jsonl(
                     raise ValueError(
                         f"annotation line {lineno}: {dim} rating {value} outside scale [{low}, {high}]"
                     )
+            key = (ann.doc_id, ann.system_id)
+            if key in first_line:
+                raise ValueError(
+                    f"annotations line {lineno}: repeated (doc_id, system_id) {key!r}, "
+                    f"first on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             out.append(ann)
     return out, (low, high)

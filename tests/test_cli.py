@@ -714,6 +714,31 @@ class TestScore:
             assert parsed["metric"] == "rouge1"
             assert parsed["scenario"] is None
 
+    @pytest.mark.parametrize("metric, n", [("rouge1", 1), ("rouge2", 2)])
+    def test_metric_counts_each_reference_once(self, tmp_path, monkeypatch, metric, n):
+        """Candidates that share a reference share its n-gram counts; the
+        scores are those of ``rouge_n`` on each row alone."""
+        rows = [
+            {"candidate": cand, "reference": ref}
+            for ref in ("the cat sat on the mat", "a b a b c")
+            for cand in ("the cat sat", "a b c", "b a b a", "mat the")
+        ]
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        built = []
+        counts = cli.ngram_counts
+
+        def counting(tokens, k):
+            built.append(tuple(tokens))
+            return counts(tokens, k)
+
+        monkeypatch.setattr(cli, "ngram_counts", counting)
+        got = _score_lines(run_ok(["score", "--inputs", path, "--metric", metric]))
+        assert sorted(built) == sorted({tuple(word_tokens(r["reference"])) for r in rows})
+        for row, parsed in zip(rows, got):
+            want = rouge_n(word_tokens(row["candidate"]), word_tokens(row["reference"]), n)[2]
+            assert parsed["score"] == want
+
     def test_metric_rejects_non_string_text(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_text(
@@ -1145,6 +1170,37 @@ class TestEvaluate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == f"scores line 9: field {key!r} must be a string"
+
+    @pytest.mark.parametrize("flag", ["--scores", "--baseline"])
+    def test_repeated_score_pair_rejected(self, tmp_path, flag):
+        """Three pairs and a copy of the first would otherwise be counted
+        as four."""
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        lines = score_path.read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:3] + lines[:1]) + "\n", encoding="utf-8")
+        files = {"--scores": score_path, "--baseline": score_path, flag: bad}
+        code, out, err = run_cli(
+            ["evaluate", "--annotations", ann_path, *(a for kv in files.items() for a in kv)]
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            "scores line 4: repeated (doc_id, system_id) ('d0', 's0'), first on line 1"
+        )
+
+    def test_repeated_annotation_pair_rejected(self, tmp_path):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        lines = ann_path.read_text(encoding="utf-8").splitlines()
+        ann_path.write_text("\n".join(lines + lines[2:3]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            "annotations line 10: repeated (doc_id, system_id) ('d1', 's0'), first on line 3"
+        )
 
     @pytest.mark.parametrize(
         "key, literal, message",

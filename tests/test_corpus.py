@@ -256,6 +256,16 @@ class TestCorpusJsonl:
         with pytest.raises(ValueError, match="line 2"):
             read_corpus_jsonl(p)
 
+    def test_sentences_are_segmented_on_first_read(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id": "a", "text": "One. Two.", "summary": "Three."}\n')
+        doc = read_corpus_jsonl(p)[0]
+        assert "sentences" not in vars(doc)
+        assert "reference_sentences" not in vars(doc)
+        assert doc.sentences == ("One.", "Two.")
+        assert doc.reference_sentences == ("Three.",)
+        assert doc.sentences is doc.sentences
+
     def test_duplicate_ids_rejected(self):
         d = make_document("same", "a.", "b.")
         with pytest.raises(ValueError, match="duplicate"):

@@ -18,6 +18,7 @@ from umse.metaeval import (
     _rank_average,
     evaluate,
     kendall_tau,
+    ngram_counts,
     paired_t_test,
     read_annotations_jsonl,
     regularized_incomplete_beta,
@@ -369,6 +370,15 @@ class TestRouge:
             assert p1 == pytest.approx(r2, abs=1e-15)
             assert r1 == pytest.approx(p2, abs=1e-15)
 
+    def test_given_reference_counts_give_the_same_bits(self):
+        rng = np.random.default_rng(43)
+        vocab = list("abcde")
+        for _ in range(30):
+            cand = [vocab[i] for i in rng.integers(0, 5, size=int(rng.integers(0, 15)))]
+            ref = [vocab[i] for i in rng.integers(0, 5, size=int(rng.integers(0, 15)))]
+            for n in (1, 2, 3):
+                assert rouge_n(cand, ref, n, ngram_counts(ref, n)) == rouge_n(cand, ref, n)
+
     def test_rouge_n_matches_overlap_oracle(self):
         rng = np.random.default_rng(41)
         vocab = list("abcde")
@@ -485,6 +495,19 @@ class TestAnnotations:
         path.write_text('{"rating_scale": [1, 5]}\n{"doc_id": "d0"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="malformed annotation line 2"):
             read_annotations_jsonl(path)
+
+    def test_repeated_pair_rejected(self, tmp_path):
+        """A second annotation of one (doc_id, system_id) would silently
+        replace the first when ratings are joined to scores."""
+        anns = [_make_annotation("d0", "s0", 2.0), _make_annotation("d0", "s1", 3.0),
+                _make_annotation("d0", "s0", 4.0)]
+        path = tmp_path / "anns.jsonl"
+        write_annotations_jsonl(anns, path)
+        with pytest.raises(ValueError) as info:
+            read_annotations_jsonl(path)
+        assert str(info.value) == (
+            "annotations line 4: repeated (doc_id, system_id) ('d0', 's0'), first on line 2"
+        )
 
 
 class TestEvaluate:

@@ -18,7 +18,7 @@ from umse.datagen import (
     generate_dataset,
     to_scenario_examples,
 )
-from umse import model
+from umse import model, training
 from umse.model import (
     ModelConfig,
     WorkerPool,
@@ -283,6 +283,58 @@ def _run_adamw(job, parts, t, rows):
         pass
 
 
+def _touch_schedule(rng, vocab):
+    """Eight AdamW steps' sorted touched token rows, each with the rows
+    among them whose gradient is exactly zero. Rows 0-2099 are touched at
+    step 1 and 60% of rows 2100-4999 then too, 10% of rows 5000-8999
+    first at step 2 and 20% of rows 9000-9999 first at step 4; each is
+    idle for several steps after that but for a few rows again at steps
+    3, 5, 7 and 8. Rows from 10000 on stay untouched until step 6 touches
+    every row. At step 3 row 9500, not yet seen, and row 100, seen, get a
+    zero gradient."""
+
+    def share(lo, hi, fraction):
+        return rng.choice(np.arange(lo, hi), int(fraction * (hi - lo)), replace=False)
+
+    def few():
+        return rng.integers(0, 9000, size=30)
+
+    zero = [100, 9500]
+    steps = [
+        (np.arange(2100), share(2100, 5000, 0.6)),
+        (share(5000, 9000, 0.1),),
+        (few(), zero),
+        (share(9000, 10000, 0.2),),
+        (few(),),
+        (np.arange(vocab),),
+        (few(),),
+        (few(),),
+    ]
+    return [
+        (np.unique(np.concatenate(parts)), zero if t == 3 else [])
+        for t, parts in enumerate(steps, start=1)
+    ]
+
+
+def _decay_paths(job, parts):
+    """The decay-only path each chunk of each part's share of the token
+    table takes at the next step, from the rows seen so far."""
+    width = job.params["tok_emb"].shape[1]
+    paths = set()
+    for part in range(parts):
+        lo, hi = (len(job.seen) * k // parts for k in (part, part + 1))
+        for chunk in model._row_chunks(hi - lo, width):
+            flags = job.seen[lo:hi][chunk]
+            n = np.count_nonzero(flags)
+            if n == 0:
+                paths.add("p-only")
+            elif n >= training._SEEN_IN_PLACE * len(flags):
+                paths.add("in place")
+            else:
+                paths.add("gathered")
+    return paths
+
+
 class TestOptimizer:
     def test_step_opposes_gradient(self):
         job = _adamw_job(TrainConfig(learning_rate=0.1, weight_decay=0.0))
@@ -303,38 +355,47 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("use_prefix", [True, False])
     def test_adamw_matches_dense_expression_over_steps(self, use_prefix):
-        """Six steps of the row-split update, over 1, 2 and 3 parts, equal
-        the dense AdamW expression bit for bit on every trained parameter
-        and its moments. The token table gets a row-sparse gradient whose
-        untouched rows still decay, and each third of it spans more than
-        one 32,768-element chunk. Without the prefix the bank, though given
-        a gradient, and its moments stay as they were."""
-        config = TrainConfig(learning_rate=1.0e-3)
-        vocab = 7000
+        """Eight steps of the row-split update, over 1, 2 and 3 parts, equal
+        the dense AdamW expression bit for bit, signs of zero included, on
+        every trained parameter and its moments. The token table gets a
+        row-sparse gradient whose untouched rows still decay, and its rows
+        take every course: touched and then idle for several steps, first
+        touched at a later step, never touched, touched with a gradient of
+        exactly zero, and from step 7 all seen. Its chunks take each of the
+        three decay-only paths, and each third of the table spans more than
+        one chunk. Without the prefix the bank, though given a gradient,
+        and its moments stay as they were."""
+        # a batch this large can touch every row of the table
+        config = TrainConfig(learning_rate=1.0e-3, batch_size=300)
+        vocab = 13000
         for parts in (1, 2, 3):
             rng = np.random.default_rng(4)
             job = _adamw_job(config, use_prefix, vocab)
             job.flat[0][:] = rng.uniform(-0.1, 0.1, size=job.flat[0].size)
+            job.params["tok_emb"][[9500, 11000, 12999]] = -0.0
             bank = job.params["prefix_base"].copy()
             trained = [name for name in job.params if use_prefix or name != "prefix_base"]
             expected = {name: job.params[name].copy() for name in trained}
             m = {name: np.zeros_like(p) for name, p in expected.items()}
             v = {name: np.zeros_like(p) for name, p in expected.items()}
-            for t in range(1, 7):
+            paths = set()
+            for t, (rows, zero_rows) in enumerate(_touch_schedule(rng, vocab), start=1):
+                paths |= _decay_paths(job, parts)
                 job.grads.flat[:] = rng.normal(size=job.grads.flat.size)
-                rows = np.unique(rng.integers(0, vocab, size=40))
                 job.grads["tok_emb"][np.setdiff1d(np.arange(vocab), rows)] = 0.0
+                job.grads["tok_emb"][zero_rows] = 0.0
                 dense = {name: job.grads[name].copy() for name in trained}
                 _run_adamw(job, parts, t, rows)
                 oracles.adamw_step_dense(expected, dense, m, v, t, 1.0e-3)
                 for name in trained:
-                    assert np.array_equal(job.params[name], expected[name]), (parts, t, name)
-                    assert np.array_equal(job.m[name], m[name]), (parts, t, name)
-                    assert np.array_equal(job.v[name], v[name]), (parts, t, name)
+                    assert job.params[name].tobytes() == expected[name].tobytes(), (parts, t, name)
+                    assert job.m[name].tobytes() == m[name].tobytes(), (parts, t, name)
+                    assert job.v[name].tobytes() == v[name].tobytes(), (parts, t, name)
                 if not use_prefix:
                     assert np.array_equal(job.params["prefix_base"], bank)
                     assert not job.m["prefix_base"].any()
                     assert not job.v["prefix_base"].any()
+            assert paths == {"p-only", "gathered", "in place"}, parts
 
     def test_clip_of_row_sparse_gradients_matches_dense(self):
         rng = np.random.default_rng(6)
