@@ -28,11 +28,15 @@ from .corpus import (
     Vocabulary,
     atomic_write,
     build_vocab,
+    check_new_pair,
     gen_synthetic_corpus,
     read_corpus_jsonl,
+    read_jsonl,
+    text_field,
     tokenize,
     word_tokens,
     write_corpus_jsonl,
+    write_jsonl,
 )
 from .datagen import (
     DOCUMENT_MATCHING,
@@ -65,7 +69,7 @@ from .model import (
     worker_pool,
 )
 from .retrieval import build_index, load_index, save_index
-from .training import TrainConfig, grad_check, train
+from .training import MODES, TrainConfig, grad_check, train
 
 VOCAB_FILE = "vocab.txt"
 INDEX_FILE = "index.bin"
@@ -125,31 +129,6 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if value is not None:
             merged[key] = value
     return merged
-
-
-def _read_jsonl_rows(path: str) -> list[tuple[int, dict]]:
-    rows: list[tuple[int, dict]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed input line {lineno}: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"malformed input line {lineno}: not a JSON object")
-            rows.append((lineno, row))
-    return rows
-
-
-def _field(row: dict, name: str, lineno: int) -> str:
-    value = row.get(name)
-    if value is None:
-        raise ValueError(f"input line {lineno}: missing field {name!r}")
-    if not isinstance(value, str):
-        raise ValueError(f"input line {lineno}: field {name!r} must be a string")
-    return value
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -241,8 +220,6 @@ def _train_defaults(args: argparse.Namespace) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     _keep_freed_memory()
     cfg = _merge(args, _train_defaults(args))
-    if cfg["mode"] == "single":
-        cfg["mode"] = "single_scenario"
     if cfg["clip_norm"] == 0:
         cfg["clip_norm"] = None
     corpus = read_corpus_jsonl(args.corpus)
@@ -268,7 +245,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 1 if report.diverged else 0
 
 
-def _score_line(row: dict, value: float, scenario, fusion, metric) -> str:
+def _score_row(row: dict, value: float, scenario, fusion, metric) -> dict:
     out: dict = {}
     for key in ("doc_id", "system_id"):
         if key in row:
@@ -278,7 +255,7 @@ def _score_line(row: dict, value: float, scenario, fusion, metric) -> str:
     out["fusion"] = fusion
     if metric is not None:
         out["metric"] = metric
-    return json.dumps(out, ensure_ascii=False)
+    return out
 
 
 # Rows per task of the scoring pool. A row truncated at max_len costs
@@ -313,10 +290,11 @@ def _score_chunk(
     values: list[float] = []
     start, stop = bounds
     for lineno, row in job.rows[start:stop]:
+        where = f"input line {lineno}"
         try:
-            cand = tuple(tokenize(_field(row, "candidate", lineno), job.vocab))
-            ref = ids_of(_field(row, "reference", lineno)) if need_ref else None
-            doc = ids_of(_field(row, "document", lineno)) if need_doc else None
+            cand = tuple(tokenize(text_field(row, "candidate", where), job.vocab))
+            ref = ids_of(text_field(row, "reference", where)) if need_ref else None
+            doc = ids_of(text_field(row, "document", where)) if need_doc else None
             try:
                 if job.fusion is not None:
                     s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
@@ -330,7 +308,7 @@ def _score_chunk(
                         ).score
                     )
             except ValueError as exc:  # the row's text does not fit the template
-                raise ValueError(f"input line {lineno}: {exc}") from None
+                raise ValueError(f"{where}: {exc}") from None
         except (ValueError, FloatingPointError) as exc:
             return values, exc
     return values, None
@@ -359,8 +337,8 @@ def _score_rows(job: _ScoreJob) -> list[float]:
 def cmd_score(args: argparse.Namespace) -> int:
     cfg = _merge(args, SCORE_DEFAULTS)
     scenario, fusion, metric = cfg["scenario"], cfg["fusion"], cfg["metric"]
-    rows = _read_jsonl_rows(args.inputs)
-    lines: list[str] = []
+    rows = list(read_jsonl(args.inputs, "input"))
+    out: list[dict] = []
     if metric is not None:
         n = {"rouge1": 1, "rouge2": 2}.get(metric)
 
@@ -372,10 +350,11 @@ def cmd_score(args: argparse.Namespace) -> int:
             return words, ngram_counts(words, n) if n else None
 
         for lineno, row in rows:
-            cand = word_tokens(_field(row, "candidate", lineno))
-            ref, ref_counts = reference(_field(row, "reference", lineno))
+            where = f"input line {lineno}"
+            cand = word_tokens(text_field(row, "candidate", where))
+            ref, ref_counts = reference(text_field(row, "reference", where))
             value = rouge_n(cand, ref, n, ref_counts)[2] if n else rouge_l(cand, ref)[2]
-            lines.append(_score_line(row, value, None, None, metric))
+            out.append(_score_row(row, value, None, None, metric))
     else:
         if args.checkpoint is None or args.vocab is None or scenario is None:
             raise ValueError(
@@ -393,34 +372,24 @@ def cmd_score(args: argparse.Namespace) -> int:
             )
         values = _score_rows(_ScoreJob(params, model_config, vocab, scenario, fusion, rows))
         for (_lineno, row), value in zip(rows, values):
-            lines.append(_score_line(row, value, scenario, fusion, None))
-    text = "".join(line + "\n" for line in lines)
+            out.append(_score_row(row, value, scenario, fusion, None))
     if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(text)
+        write_jsonl(out, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in out))
     return 0
 
 
 def _read_scores_file(path: str) -> list[tuple[str, str, float]]:
     out = []
     first_line: dict[tuple[str, str], int] = {}
-    for lineno, row in _read_jsonl_rows(path):
-        for key in ("doc_id", "system_id", "score"):
-            if key not in row:
-                raise ValueError(f"scores line {lineno}: missing field {key!r}")
-        for key in ("doc_id", "system_id"):
-            if not isinstance(row[key], str):
-                raise ValueError(f"scores line {lineno}: field {key!r} must be a string")
-        score = finite_number(row["score"], f"scores line {lineno}: score")
-        key = (row["doc_id"], row["system_id"])
-        if key in first_line:
-            raise ValueError(
-                f"scores line {lineno}: repeated (doc_id, system_id) {key!r}, "
-                f"first on line {first_line[key]}"
-            )
-        first_line[key] = lineno
+    for lineno, row in read_jsonl(path, "scores"):
+        where = f"scores line {lineno}"
+        key = (text_field(row, "doc_id", where), text_field(row, "system_id", where))
+        if "score" not in row:
+            raise ValueError(f"{where}: missing field 'score'")
+        score = finite_number(row["score"], f"{where}: score")
+        check_new_pair(first_line, key, lineno, "scores")
         out.append((*key, score))
     return out
 
@@ -534,10 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-seed", type=int, help="weight init seed (default 12)")
     p.add_argument(
         "--mode",
-        choices=("unified", "joint_no_prefix", "single", "single_scenario"),
-        help="training mode (default unified); single trains one scenario",
+        choices=MODES,
+        help="training mode (default unified); single_scenario trains one scenario",
     )
-    p.add_argument("--scenario", choices=SCENARIOS, help="scenario for --mode single")
+    p.add_argument("--scenario", choices=SCENARIOS, help="scenario for --mode single_scenario")
     p.add_argument("--learning-rate", type=float, help="step size (default 3e-05)")
     p.add_argument("--epochs", type=int, help="epoch budget, 1..10 (default 10)")
     p.add_argument("--batch-size", type=int, help="examples per step (default 8)")

@@ -1,6 +1,7 @@
 """Corpus handling: sentence segmentation, word-level vocabulary, tokenization,
-JSONL ingestion, a deterministic synthetic-corpus generator for desk-scale
-experiments, and the atomic file write every artifact writer uses.
+a deterministic synthetic-corpus generator for desk-scale experiments, the
+atomic file write every artifact writer uses, and the JSONL reader, writer
+and field checks that every text artifact goes through.
 
 Everything here is a pure function of its inputs; randomness enters only
 through explicit seeds.
@@ -15,6 +16,7 @@ import random
 import re
 import string
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -233,20 +235,22 @@ def atomic_write(path: str | Path, mode: str = "w"):
         raise
 
 
-def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
+# json.dumps(row, ensure_ascii=False), without building an encoder per row
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def write_jsonl(rows: Iterable[dict], path: str | Path) -> None:
+    """Write each row as one line of JSON, non-ASCII characters as they
+    are, through ``atomic_write``."""
     with atomic_write(path) as fh:
-        for doc in corpus.documents:
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "text": doc.text, "summary": doc.reference_summary},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for row in rows:
+            fh.write(_encode_line(row) + "\n")
 
 
-def read_corpus_jsonl(path: str | Path) -> Corpus:
-    docs: list[Document] = []
+def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, object)`` for each non-blank line of the JSONL
+    file at ``path``, counting lines from 1. A line that is not a JSON
+    object raises ``ValueError("malformed <what> line N: ...")``."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -254,17 +258,49 @@ def read_corpus_jsonl(path: str | Path) -> Corpus:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed corpus line {lineno}: {exc}") from exc
+                raise ValueError(f"malformed {what} line {lineno}: {exc}") from exc
             if not isinstance(row, dict):
-                raise ValueError(f"malformed corpus line {lineno}: not a JSON object")
-            for name in ("id", "text", "summary"):
-                if name not in row:
-                    raise ValueError(f"malformed corpus line {lineno}: missing field {name!r}")
-                if not isinstance(row[name], str):
-                    raise ValueError(
-                        f"malformed corpus line {lineno}: field {name!r} must be a string"
-                    )
-            docs.append(make_document(row["id"], row["text"], row["summary"]))
+                raise ValueError(f"malformed {what} line {lineno}: not a JSON object")
+            yield lineno, row
+
+
+def text_field(row: dict, name: str, where: str) -> str:
+    """``row[name]`` if it is a string. Otherwise raise ``ValueError`` that
+    starts with ``where``: "missing field" if the key is absent, "must be a
+    string" for any other value, null included."""
+    if name not in row:
+        raise ValueError(f"{where}: missing field {name!r}")
+    value = row[name]
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: field {name!r} must be a string")
+    return value
+
+
+def check_new_pair(
+    first_line: dict[tuple[str, str], int], key: tuple[str, str], lineno: int, what: str
+) -> None:
+    """Record that line ``lineno`` holds the ``(doc_id, system_id)`` pair
+    ``key``; raise ``ValueError("<what> line N: repeated ...")`` if an
+    earlier line of ``first_line`` held it."""
+    first = first_line.setdefault(key, lineno)
+    if first != lineno:
+        raise ValueError(
+            f"{what} line {lineno}: repeated (doc_id, system_id) {key!r}, first on line {first}"
+        )
+
+
+def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
+    write_jsonl(
+        ({"id": d.id, "text": d.text, "summary": d.reference_summary} for d in corpus.documents),
+        path,
+    )
+
+
+def read_corpus_jsonl(path: str | Path) -> Corpus:
+    docs = []
+    for lineno, row in read_jsonl(path, "corpus"):
+        where = f"malformed corpus line {lineno}"
+        docs.append(make_document(*(text_field(row, k, where) for k in ("id", "text", "summary"))))
     return Corpus(documents=tuple(docs))
 
 

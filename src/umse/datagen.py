@@ -20,13 +20,12 @@ because the positive candidate is the reference itself.
 
 from __future__ import annotations
 
-import json
 import random
 import weakref
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import Corpus, Document, Vocabulary, atomic_write, tokenize
+from .corpus import Corpus, Document, Vocabulary, read_jsonl, tokenize, write_jsonl
 from .retrieval import Bm25Index, most_similar
 
 SUMMARY_MATCHING = "summary_matching"
@@ -283,10 +282,7 @@ def to_scenario_examples(
 
 def write_dataset_jsonl(dataset: list[LabeledExample], path: str | Path) -> None:
     """One JSON object per example, keyed by its field names in field order."""
-    with atomic_write(path) as fh:
-        for ex in dataset:
-            row = {name: getattr(ex, name) for name in _FIELD_NAMES}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_jsonl(({name: getattr(ex, name) for name in _FIELD_NAMES} for ex in dataset), path)
 
 
 def read_dataset_jsonl(path: str | Path) -> list[LabeledExample]:
@@ -294,13 +290,13 @@ def read_dataset_jsonl(path: str | Path) -> list[LabeledExample]:
     are ignored. A line that is not such an object, misses a field, or
     fails the example's checks raises ``ValueError`` with its number."""
     out: list[LabeledExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                out.append(LabeledExample(**{name: row[name] for name in _FIELD_NAMES}))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed dataset line {lineno}: {exc}") from exc
+    for lineno, row in read_jsonl(path, "dataset"):
+        try:
+            out.append(LabeledExample(**{name: row[name] for name in _FIELD_NAMES}))
+        except KeyError as exc:
+            raise ValueError(
+                f"malformed dataset line {lineno}: missing field {exc.args[0]!r}"
+            ) from None
+        except ValueError as exc:
+            raise ValueError(f"malformed dataset line {lineno}: {exc}") from exc
     return out

@@ -14,11 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import atomic_write
+from .corpus import check_new_pair, read_jsonl, text_field, write_jsonl
 
 DIMENSIONS = ("coherence", "consistency", "fluency", "relevance")
 
@@ -303,9 +304,6 @@ class HumanAnnotation:
     ratings: dict[str, float]
 
     def __post_init__(self) -> None:
-        for name in ("doc_id", "system_id", "summary"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"field {name!r} must be a string")
         missing = [d for d in DIMENSIONS if d not in self.ratings]
         if missing:
             raise ValueError(f"annotation missing dimensions: {', '.join(missing)}")
@@ -429,21 +427,16 @@ def write_annotations_jsonl(
 ) -> None:
     """First line is a header object declaring the rating scale."""
     low, high = scale
-    with atomic_write(path) as fh:
-        fh.write(json.dumps({"rating_scale": [low, high]}) + "\n")
-        for ann in annotations:
-            fh.write(
-                json.dumps(
-                    {
-                        "doc_id": ann.doc_id,
-                        "system_id": ann.system_id,
-                        "summary": ann.summary,
-                        "ratings": {d: ann.ratings[d] for d in DIMENSIONS},
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    rows = (
+        {
+            "doc_id": ann.doc_id,
+            "system_id": ann.system_id,
+            "summary": ann.summary,
+            "ratings": {d: ann.ratings[d] for d in DIMENSIONS},
+        }
+        for ann in annotations
+    )
+    write_jsonl(chain([{"rating_scale": [low, high]}], rows), path)
 
 
 def finite_number(value, what: str) -> float:
@@ -465,42 +458,35 @@ def finite_number(value, what: str) -> float:
 def read_annotations_jsonl(
     path: str | Path,
 ) -> tuple[list[HumanAnnotation], tuple[float, float]]:
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
+    """Read a file written by ``write_annotations_jsonl``. Its first
+    non-blank line is the header; a malformed row, a rating outside the
+    header's scale, or a repeated (doc_id, system_id) raises ``ValueError``
+    with the row's line number."""
+    rows = read_jsonl(path, "annotation")
+    _, header = next(rows, (0, {}))
+    try:
+        low, high = (finite_number(v, "rating_scale bound") for v in header["rating_scale"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed annotation header: {exc}") from exc
+    out: list[HumanAnnotation] = []
+    first_line: dict[tuple[str, str], int] = {}
+    for lineno, row in rows:
+        where = f"malformed annotation line {lineno}"
+        texts = [text_field(row, name, where) for name in ("doc_id", "system_id", "summary")]
+        if "ratings" not in row:
+            raise ValueError(f"{where}: missing field 'ratings'")
+        if not isinstance(row["ratings"], dict):
+            raise ValueError(f"{where}: field 'ratings' must be an object")
         try:
-            header = json.loads(header_line)
-            low, high = (finite_number(v, "rating_scale bound") for v in header["rating_scale"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed annotation header: {exc}") from exc
-        out: list[HumanAnnotation] = []
-        first_line: dict[tuple[str, str], int] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                ratings = row["ratings"]
-                if not isinstance(ratings, dict):
-                    raise ValueError("field 'ratings' must be an object")
-                ann = HumanAnnotation(
-                    doc_id=row["doc_id"],
-                    system_id=row["system_id"],
-                    summary=row["summary"],
-                    ratings={k: finite_number(v, f"{k} rating") for k, v in ratings.items()},
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"malformed annotation line {lineno}: {exc}") from exc
-            for dim, value in ann.ratings.items():
-                if not low <= value <= high:
-                    raise ValueError(
-                        f"annotation line {lineno}: {dim} rating {value} outside scale [{low}, {high}]"
-                    )
-            key = (ann.doc_id, ann.system_id)
-            if key in first_line:
+            ratings = {k: finite_number(v, f"{k} rating") for k, v in row["ratings"].items()}
+            ann = HumanAnnotation(*texts, ratings)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        for dim, value in ann.ratings.items():
+            if not low <= value <= high:
                 raise ValueError(
-                    f"annotations line {lineno}: repeated (doc_id, system_id) {key!r}, "
-                    f"first on line {first_line[key]}"
+                    f"annotation line {lineno}: {dim} rating {value} outside scale [{low}, {high}]"
                 )
-            first_line[key] = lineno
-            out.append(ann)
+        check_new_pair(first_line, (ann.doc_id, ann.system_id), lineno, "annotations")
+        out.append(ann)
     return out, (low, high)

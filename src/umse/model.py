@@ -525,7 +525,6 @@ def forward_batch(
 @dataclass(frozen=True)
 class ScoreOutput:
     score: float  # positive-class probability
-    scenario: str | None = None
 
 
 def score(
@@ -539,7 +538,7 @@ def score(
 ) -> ScoreOutput:
     layout = assemble_input(scenario, candidate, reference, document, config, use_prefix)
     cache = forward_batch(params, config, [layout])
-    return ScoreOutput(score=float(cache.probs[0, 1]), scenario=scenario)
+    return ScoreOutput(score=float(cache.probs[0, 1]))
 
 
 def fuse(s_sr: float, s_sd: float, method: str = DEFAULT_FUSION) -> float:

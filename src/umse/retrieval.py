@@ -19,16 +19,15 @@ from 0.0, each computed left to right as
 ``qtf * idf * tf * (k1 + 1) / (tf + norm)``. Scoring every document gathers
 the query terms' postings term by term, in that order, and sums them with
 ``np.bincount``, which adds each document's contributions in the order they
-arrive. So ``bm25_score``, the all-document scores, a fresh index and a
-deserialized one agree bit for bit, and so do the rankings and the datasets
-built from them.
+arrive. So a one-document score summed that way, the all-document scores, a
+fresh index and a deserialized one agree bit for bit, and so do the
+rankings and the datasets built from them.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -86,15 +85,6 @@ class Bm25Index:
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def _term(self, token: int) -> int | None:
-        """Row of ``token`` in ``terms``, or None if no document holds it."""
-        i = int(np.searchsorted(self.terms, token))
-        return i if i < len(self.terms) and self.terms[i] == token else None
-
-    def idf(self, token: int) -> float:
-        i = self._term(token)
-        return _idf(self.n_docs, 0 if i is None else int(self.offsets[i + 1] - self.offsets[i]))
-
 
 def build_index(corpus: Corpus, vocab: Vocabulary) -> Bm25Index:
     """Index document bodies (not summaries). Deterministic."""
@@ -118,28 +108,6 @@ def build_index(corpus: Corpus, vocab: Vocabulary) -> Bm25Index:
         ordinals=keys % n_docs,
         tfs=tfs,
     )
-
-
-def bm25_score(index: Bm25Index, query: list[int], doc: int) -> float:
-    """Okapi score of one document for a query token sequence.
-
-    Each occurrence of a query term contributes independently; distinct
-    terms are accumulated in ascending token-id order.
-    """
-    if not 0 <= doc < index.n_docs:
-        raise IndexError(f"doc ordinal {doc} out of range")
-    score = 0.0
-    for token, qtf in sorted(Counter(query).items()):
-        i = index._term(token)
-        if i is None:
-            continue
-        start, stop = index.offsets[i], index.offsets[i + 1]
-        at = start + np.searchsorted(index.ordinals[start:stop], doc)
-        if at == stop or index.ordinals[at] != doc:
-            continue
-        tf = index.tfs[at]
-        score += qtf * index.term_idf[i] * tf * (index.k1 + 1.0) / (tf + index.norm[doc])
-    return float(score)
 
 
 def _self_scores(index: Bm25Index, doc: int) -> np.ndarray:

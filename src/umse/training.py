@@ -179,12 +179,11 @@ class Gradients(dict):
     the decay-only update (the p-only pass to rows no step has touched, whose
     moments are still +0.0), and ``backward(..., out=grads)`` re-zeroes
     only those rows when it reuses the arrays; none of this changes a bit
-    of the result. ``flat`` is the one buffer, in ``param_shapes`` order, that
-    every array views when ``backward`` or ``train`` made them, and None
-    for separate arrays.
+    of the result. ``flat`` is the one buffer that every array views, in
+    the order of ``arrays``.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None) -> None:
+    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray) -> None:
         super().__init__(arrays)
         self.rows: dict[str, np.ndarray] = {}
         self.flat = flat

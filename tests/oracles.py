@@ -47,6 +47,45 @@ def bm25_score_from_raw_counts(doc_token_lists, query_tokens, doc_index, k1=1.2,
     return score
 
 
+def _bm25_term_row(index, token):
+    """Row of ``token`` in the index's ``terms``, or None if no document
+    holds it."""
+    i = int(np.searchsorted(index.terms, token))
+    return i if i < len(index.terms) and index.terms[i] == token else None
+
+
+def bm25_idf(index, token):
+    """The +1-smoothed idf of ``token`` from its document frequency in the
+    index, 0 if no document holds it."""
+    i = _bm25_term_row(index, token)
+    df = 0 if i is None else int(index.offsets[i + 1] - index.offsets[i])
+    return math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def bm25_score(index, query, doc):
+    """Okapi score of one document for a query token sequence, read from
+    the index's plain arrays one posting at a time.
+
+    Each occurrence of a query term contributes independently; distinct
+    terms are accumulated in ascending token-id order, the order in which
+    the index sums a document's score.
+    """
+    if not 0 <= doc < index.n_docs:
+        raise IndexError(f"doc ordinal {doc} out of range")
+    score = 0.0
+    for token, qtf in sorted(Counter(query).items()):
+        i = _bm25_term_row(index, token)
+        if i is None:
+            continue
+        start, stop = index.offsets[i], index.offsets[i + 1]
+        at = start + np.searchsorted(index.ordinals[start:stop], doc)
+        if at == stop or index.ordinals[at] != doc:
+            continue
+        tf = index.tfs[at]
+        score += qtf * index.term_idf[i] * tf * (index.k1 + 1.0) / (tf + index.norm[doc])
+    return float(score)
+
+
 def bm25_rank_all(doc_token_lists, query_tokens, exclude=None, k1=1.2, b=0.75):
     """Full ranking by linear scan; ties broken by ascending index."""
     scored = []

@@ -403,8 +403,7 @@ class TestConfigValues:
             (
                 "train",
                 {"mode": "bogus"},
-                "mode must be one of unified, joint_no_prefix, single, single_scenario, "
-                "got 'bogus'",
+                "mode must be one of unified, joint_no_prefix, single_scenario, got 'bogus'",
             ),
             ("score", {"scenario": "XY"}, "scenario must be one of SR, SD, SDR, got 'XY'"),
         ],
@@ -434,7 +433,7 @@ class TestConfigValues:
                 "--corpus", ws["corpus"],
                 "--vocab", ws["vocab"],
                 "--document-matching", ws["data"] / "document_matching.jsonl",
-                "--mode", "single",
+                "--mode", "single_scenario",
                 "--scenario", "SD",
                 *TINY_MODEL_FLAGS,
                 "--config", cfg,
@@ -459,7 +458,7 @@ class TestTrain:
                 "--corpus", ws["corpus"],
                 "--vocab", ws["vocab"],
                 "--document-matching", ws["data"] / "document_matching.jsonl",
-                "--mode", "single",
+                "--mode", "single_scenario",
                 "--scenario", "SD",
                 *TINY_MODEL_FLAGS,
                 "--epochs", "1",
@@ -766,6 +765,18 @@ class TestScore:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "input line 1: field 'reference' must be a string"
+
+    def test_null_text_is_not_a_missing_field(self, ws, tmp_path):
+        """A null field is present and not a string, as in every other
+        JSONL reader, with a lexical metric and with the model alike."""
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"candidate": "a b", "reference": null}\n', encoding="utf-8")
+        model = ["--checkpoint", ws["checkpoint"], "--vocab", ws["vocab"], "--scenario", "SR"]
+        for flags in (["--metric", "rouge1"], model):
+            code, out, err = run_cli(["score", "--inputs", path, *flags])
+            assert (code, out) == (1, "")
+            message = "input line 1: field 'reference' must be a string"
+            assert err == json.dumps({"error": message}) + "\n"
 
     def test_metric_requires_reference(self, tmp_path):
         path = tmp_path / "in.jsonl"
@@ -1172,6 +1183,26 @@ class TestEvaluate:
         assert json.loads(err)["error"] == f"scores line 9: field {key!r} must be a string"
 
     @pytest.mark.parametrize("flag", ["--scores", "--baseline"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "malformed scores line 9: Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]", "malformed scores line 9: not a JSON object"),
+        ],
+    )
+    def test_score_line_must_be_a_json_object(self, tmp_path, flag, line, message):
+        score_path, ann_path = self._perfect_fixture(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(score_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        files = {"--scores": score_path, "--baseline": score_path, flag: bad}
+        code, out, err = run_cli(
+            ["evaluate", "--annotations", ann_path, *(a for kv in files.items() for a in kv)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == json.dumps({"error": message}) + "\n"
+
+    @pytest.mark.parametrize("flag", ["--scores", "--baseline"])
     def test_repeated_score_pair_rejected(self, tmp_path, flag):
         """Three pairs and a copy of the first would otherwise be counted
         as four."""
@@ -1210,14 +1241,19 @@ class TestEvaluate:
             ("doc_id", "3", "field 'doc_id' must be a string"),
             ("summary", "null", "field 'summary' must be a string"),
             ("ratings", "[1, 2, 3, 4]", "field 'ratings' must be an object"),
+            ("doc_id", None, "missing field 'doc_id'"),
+            ("ratings", None, "missing field 'ratings'"),
         ],
     )
     def test_annotation_fields_must_be_well_typed(self, tmp_path, key, literal, message):
+        """A literal of None leaves the key out of the row."""
         score_path, ann_path = self._perfect_fixture(tmp_path)
         lines = ann_path.read_text(encoding="utf-8").splitlines()
         row = json.loads(lines[3])
         row[key] = "VALUE"
-        lines[3] = json.dumps(row).replace('"VALUE"', literal)
+        if literal is None:
+            del row[key]
+        lines[3] = json.dumps(row).replace('"VALUE"', literal or "")
         ann_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, out, err = run_cli(["evaluate", "--scores", score_path, "--annotations", ann_path])
         assert code == 1

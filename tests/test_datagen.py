@@ -30,6 +30,9 @@ from umse.datagen import (
 )
 from umse.retrieval import build_index, most_similar
 
+# a dataset row value that stands for a key left out of the row
+ABSENT = object()
+
 # chi-square upper critical values at significance 0.01
 _CHI2_CRIT = {1: 6.635, 2: 9.210, 3: 11.345}
 
@@ -475,6 +478,8 @@ class TestDatasetJsonl:
             ("negative_strategy", 5, "negative_strategy must be a string, got 5"),
             ("candidate", None, "candidate must be a string, got None"),
             ("reference", None, "summary_matching needs a reference"),
+            ("label", ABSENT, "missing field 'label'"),
+            ("negative_strategy", ABSENT, "missing field 'negative_strategy'"),
         ],
     )
     def test_label_and_kind_checked_on_read(self, tmp_path, field, value, message):
@@ -482,8 +487,11 @@ class TestDatasetJsonl:
             "kind": "summary_matching", "label": 1, "candidate": "a.", "reference": "b.",
             "doc_id": "doc-00000", "negative_strategy": None,
         }
+        bad = {**row, field: value}
+        if value is ABSENT:
+            del bad[field]
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+        path.write_text(json.dumps(row) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ValueError) as err:
             read_dataset_jsonl(path)
         assert str(err.value) == f"malformed dataset line 2: {message}"

@@ -496,6 +496,14 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="malformed annotation line 2"):
             read_annotations_jsonl(path)
 
+    def test_blank_lines_are_skipped_before_the_header_too(self, tmp_path):
+        anns = [_make_annotation("d0", "s0", 2.0), _make_annotation("d0", "s1", 3.0)]
+        path = tmp_path / "anns.jsonl"
+        write_annotations_jsonl(anns, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n \n" + "\n\n".join(lines) + "\n", encoding="utf-8")
+        assert read_annotations_jsonl(path) == (anns, (1.0, 5.0))
+
     def test_repeated_pair_rejected(self, tmp_path):
         """A second annotation of one (doc_id, system_id) would silently
         replace the first when ratings are joined to scores."""

@@ -24,6 +24,7 @@ from umse.model import (
     WorkerPool,
     init_parameters,
     load_checkpoint,
+    param_views,
     score,
 )
 from umse.retrieval import build_index
@@ -266,6 +267,13 @@ class TestGradCheck:
             assert abs(g_fd - x[idx]) / max(abs(x[idx]), 1e-8) < 1e-9
 
 
+def _flat_gradients(arrays):
+    """Gradients whose arrays view one flat buffer holding copies of
+    ``arrays``, in their order, as ``backward`` lays them out."""
+    flat = np.concatenate([g.ravel() for g in arrays.values()])
+    return Gradients(param_views(flat, {name: g.shape for name, g in arrays.items()}), flat)
+
+
 def _adamw_job(train_config, use_prefix=True, vocab_size=48):
     """A training job without examples: only its parameter, moment and
     gradient buffers are used."""
@@ -402,18 +410,20 @@ class TestOptimizer:
         dense = {"tok_emb": np.zeros((500, 8)), "w": rng.normal(size=(8, 8))}
         rows = np.array([3, 70, 71, 499])
         dense["tok_emb"][rows] = rng.normal(size=(4, 8))
-        sparse = Gradients({name: g.copy() for name, g in dense.items()})
+        sparse = _flat_gradients(dense)
         sparse.rows = {"tok_emb": rows}
-        assert clip_gradients(sparse, 1.0) == clip_gradients(Gradients(dense), 1.0)
+        dense = _flat_gradients(dense)
+        assert clip_gradients(sparse, 1.0) == clip_gradients(dense, 1.0)
         for name in dense:
             assert np.array_equal(sparse[name], dense[name])
+        assert np.array_equal(sparse.flat, dense.flat)
 
     def test_clip_reads_only_touched_rows(self):
         rng = np.random.default_rng(9)
         dense = {"tok_emb": np.zeros((25000, 64)), "w": rng.normal(size=(64, 64))}
         rows = np.unique(rng.integers(0, 25000, size=400))
         dense["tok_emb"][rows] = rng.normal(size=(len(rows), 64))
-        sparse = Gradients({name: g.copy() for name, g in dense.items()})
+        sparse = _flat_gradients(dense)
         sparse.rows = {"tok_emb": rows}
         expected = math.sqrt(sum(float((g**2).sum()) for g in dense.values()))
         norm = clip_gradients(sparse, 1.0)
@@ -423,12 +433,12 @@ class TestOptimizer:
             assert np.array_equal(sparse[name], g * factor)
 
     def test_clip_rescales_only_above_threshold(self):
-        grads = Gradients({"a": np.array([3.0, 0.0]), "b": np.array([4.0])})
+        grads = _flat_gradients({"a": np.array([3.0, 0.0]), "b": np.array([4.0])})
         norm = clip_gradients(grads, max_norm=1.0)
         assert norm == pytest.approx(5.0)
         total = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert total == pytest.approx(1.0)
-        small = Gradients({"a": np.array([0.3])})
+        small = _flat_gradients({"a": np.array([0.3])})
         kept = small["a"].copy()
         clip_gradients(small, max_norm=1.0)
         assert np.array_equal(small["a"], kept)
