@@ -21,7 +21,6 @@ import json
 import platform
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from .corpus import (
@@ -52,6 +51,7 @@ from .metaeval import (
     SignificanceEntry,
     evaluate,
     finite_number,
+    lcs_table,
     ngram_counts,
     read_annotations_jsonl,
     rouge_l,
@@ -343,17 +343,17 @@ def cmd_score(args: argparse.Namespace) -> int:
         n = {"rouge1": 1, "rouge2": 2}.get(metric)
 
         # references repeat across systems: split each distinct one, and
-        # count its n-grams, once
+        # count its n-grams or tabulate its LCS bit masks, once
         @functools.lru_cache(maxsize=None)
-        def reference(text: str) -> tuple[list[str], Counter | None]:
+        def reference(text: str) -> tuple[list[str], dict]:
             words = word_tokens(text)
-            return words, ngram_counts(words, n) if n else None
+            return words, ngram_counts(words, n) if n else lcs_table(words)
 
         for lineno, row in rows:
             where = f"input line {lineno}"
             cand = word_tokens(text_field(row, "candidate", where))
-            ref, ref_counts = reference(text_field(row, "reference", where))
-            value = rouge_n(cand, ref, n, ref_counts)[2] if n else rouge_l(cand, ref)[2]
+            ref, table = reference(text_field(row, "reference", where))
+            value = rouge_n(cand, ref, n, table)[2] if n else rouge_l(cand, ref, table)[2]
             out.append(_score_row(row, value, None, None, metric))
     else:
         if args.checkpoint is None or args.vocab is None or scenario is None:

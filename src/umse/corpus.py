@@ -15,6 +15,7 @@ import os
 import random
 import re
 import string
+import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -91,7 +92,9 @@ def word_tokens(text: str) -> list[str]:
 @dataclass(frozen=True)
 class Document:
     """A source text with its reference summary. Each is segmented into
-    sentences on first read, which only pair generation does."""
+    sentences on first read, which only pair generation does. The body's
+    words are split on first read too, which only ``build_vocab`` and
+    ``build_index`` do, so building both splits each body once."""
 
     id: str
     text: str
@@ -104,6 +107,12 @@ class Document:
     @functools.cached_property
     def reference_sentences(self) -> tuple[str, ...]:
         return tuple(segment_sentences(self.reference_summary))
+
+    @functools.cached_property
+    def words(self) -> tuple[str, ...]:
+        # bodies repeat their words: interned, a held split costs a pointer
+        # per word, not a string
+        return tuple(map(sys.intern, word_tokens(self.text)))
 
 
 def make_document(doc_id: str, text: str, reference_summary: str) -> Document:
@@ -193,7 +202,7 @@ def build_vocab(corpus: Corpus, min_frequency: int = 1) -> Vocabulary:
         raise ValueError("min_frequency must be >= 1")
     counts: Counter[str] = Counter()
     for doc in corpus.documents:
-        counts.update(word_tokens(doc.text))
+        counts.update(doc.words)
         counts.update(word_tokens(doc.reference_summary))
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_frequency),

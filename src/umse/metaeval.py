@@ -6,6 +6,14 @@ Kendall tau-b; averaged human ratings are heavily tied, so both handle
 ties explicitly. Significance between two scorers uses a two-tailed
 paired t-test whose p-value comes from the regularized incomplete beta
 function, implemented here from scratch.
+
+The significance test's per-document correlations come from one grouped
+pass over every document rather than one ``spearman()`` call each, with
+the same bits. A document's average ranks sum to exactly n(n+1)/2, so
+their mean is exactly (n+1)/2 and every centred rank is a multiple of 0.5.
+Every product of two is then a multiple of 0.25 and every sum of those is
+exact, in any order, so the grouped sums equal ``spearman()``'s dot
+products and ``sxy / sqrt(sxx * syy)`` is the expression it evaluates.
 """
 
 from __future__ import annotations
@@ -24,20 +32,29 @@ from .corpus import check_new_pair, read_jsonl, text_field, write_jsonl
 DIMENSIONS = ("coherence", "consistency", "fluency", "relevance")
 
 
-def _rank_average(values: np.ndarray) -> np.ndarray:
-    """1-based ranks; a run of equal values gets the mean of its span.
+def _rank_average(values: np.ndarray, groups: np.ndarray | None = None) -> np.ndarray:
+    """1-based ranks within each group, all values one group if ``groups``
+    is None; a run of equal values in a group gets the mean of its span.
 
-    One stable sort and two binary searches, O(n log n): each sorted
-    value finds the first and last sorted positions of its run, and the
-    run gets ``(first + last) / 2.0 + 1.0``, the same float expression on
-    the same integers as a loop over the runs would use, so every rank
-    keeps its bits.
+    One lexsort by (group, value) and binary searches, O(n log n): each
+    sorted value finds its group's first sorted position and its run's
+    first and last, and the run gets ``(first + last) / 2.0 + 1.0`` on
+    positions counted from the group's start. That is the same float
+    expression on the same integers as a loop over one group's runs would
+    use, so every rank keeps its bits, grouped or ranked alone.
     """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    first = np.searchsorted(ordered, ordered, "left")
-    last = np.searchsorted(ordered, ordered, "right") - 1
-    ranks = np.empty(len(values))
+    n = len(values)
+    if groups is None:
+        groups = np.zeros(n, dtype=np.int64)
+    order = np.lexsort((values, groups))
+    ordered, owners = values[order], groups[order]
+    # run ids along the sorted order: a new run wherever value or group changes
+    run = np.zeros(n, dtype=np.int64)
+    run[1:] = np.cumsum((ordered[1:] != ordered[:-1]) | (owners[1:] != owners[:-1]))
+    start = np.searchsorted(owners, owners, "left")
+    first = np.searchsorted(run, run, "left") - start
+    last = np.searchsorted(run, run, "right") - 1 - start
+    ranks = np.empty(n)
     ranks[order] = (first + last) / 2.0 + 1.0
     return ranks
 
@@ -262,35 +279,45 @@ def rouge_n(
     return precision, recall, _f1(precision, recall)
 
 
-def _lcs_length(a, b) -> int:
+def lcs_table(reference) -> dict:
+    """Bit mask of each token's positions in ``reference``: bit k of
+    ``table[token]`` is set where ``reference[k] == token``. Tokens must be
+    hashable."""
+    table: dict = {}
+    for k, token in enumerate(reference):
+        table[token] = table.get(token, 0) | (1 << k)
+    return table
+
+
+def _lcs_length(a, b, b_table: dict | None = None) -> int:
     """Length of a longest common subsequence, by the bit-parallel method
     of Allison and Dix (1986, IPL 23:305).
 
-    Bit k of ``v`` stands for position k of the shorter sequence; one
-    big-int step per token of the longer one, O(mn / w) word operations
-    for machine words of w bits. The count of zero bits left in ``v`` is
-    the exact LCS length, the same integer the O(mn) table gives. Tokens
-    must be hashable.
+    Bit k of ``v`` stands for position k of ``b``, whose ``lcs_table`` is
+    ``b_table``; one big-int step per token of ``a``, O(mn / w) word
+    operations for machine words of w bits. The count of zero bits left in
+    ``v`` is the exact LCS length, the same integer the O(mn) table gives,
+    and LCS length is symmetric, so either sequence may take the bit side.
     """
-    if len(a) < len(b):
-        a, b = b, a
-    match: dict = {}
-    for k, token in enumerate(b):
-        match[token] = match.get(token, 0) | (1 << k)
+    if b_table is None:
+        b_table = lcs_table(b)
     full = (1 << len(b)) - 1
     v = full
     for token in a:
-        bits = match.get(token)
+        bits = b_table.get(token)
         if bits:
             u = v & bits
             v = ((v + u) | (v - u)) & full
     return len(b) - v.bit_count()
 
 
-def rouge_l(candidate, reference) -> tuple[float, float, float]:
+def rouge_l(candidate, reference, ref_table: dict | None = None) -> tuple[float, float, float]:
+    """Longest-common-subsequence overlap; returns (precision, recall, f1).
+    ``ref_table``, if given, is ``lcs_table(reference)``, built once by a
+    caller that scores many candidates against one reference."""
     if not candidate or not reference:
         return 0.0, 0.0, 0.0
-    lcs = _lcs_length(list(candidate), list(reference))
+    lcs = _lcs_length(candidate, reference, ref_table)
     precision = lcs / len(candidate)
     recall = lcs / len(reference)
     return precision, recall, _f1(precision, recall)
@@ -386,16 +413,32 @@ def _per_document_spearman(
     annotations: list[HumanAnnotation],
     dimension: str,
 ) -> dict[str, float]:
-    by_doc: dict[str, list[tuple[float, float]]] = {}
-    for doc_id, _, value, rating in _join_ratings(scores, annotations, dimension):
-        by_doc.setdefault(doc_id, []).append((value, rating))
-    out: dict[str, float] = {}
-    for doc_id, pairs in by_doc.items():
-        try:
-            out[doc_id] = spearman([v for v, _ in pairs], [r for _, r in pairs])
-        except ValueError:
-            continue
-    return out
+    """``spearman()`` of each document's scores against its ratings, for
+    the documents where it is defined: at least 3 rows, finite values, and
+    neither scores nor ratings constant. All documents are ranked in one
+    grouped pass and summed with ``np.bincount``; see the module docstring
+    for why each rho keeps ``spearman()``'s bits."""
+    joined = _join_ratings(scores, annotations, dimension)
+    doc_of: dict[str, int] = {}
+    groups = np.array(
+        [doc_of.setdefault(doc_id, len(doc_of)) for doc_id, _, _, _ in joined], dtype=np.int64
+    )
+    x = np.array([value for _, _, value, _ in joined])
+    y = np.array([rating for _, _, _, rating in joined])
+    n_docs = len(doc_of)
+    count = np.bincount(groups, minlength=n_docs)
+    finite = np.bincount(groups, ~(np.isfinite(x) & np.isfinite(y)), n_docs) == 0
+    mean_rank = (count[groups] + 1) / 2.0
+    rx = _rank_average(x, groups) - mean_rank
+    ry = _rank_average(y, groups) - mean_rank
+    sxy = np.bincount(groups, rx * ry, n_docs)
+    sxx = np.bincount(groups, rx * rx, n_docs)
+    syy = np.bincount(groups, ry * ry, n_docs)
+    # a group's centred ranks are all 0 exactly when its values are equal
+    keep = np.flatnonzero((count >= 3) & finite & (sxx > 0.0) & (syy > 0.0))
+    rho = sxy[keep] / np.sqrt(sxx[keep] * syy[keep])
+    doc_ids = list(doc_of)
+    return {doc_ids[k]: r for k, r in zip(keep.tolist(), rho.tolist())}
 
 
 def significance_against_baseline(
@@ -461,7 +504,7 @@ def read_annotations_jsonl(
     """Read a file written by ``write_annotations_jsonl``. Its first
     non-blank line is the header; a malformed row, a rating outside the
     header's scale, or a repeated (doc_id, system_id) raises ``ValueError``
-    with the row's line number."""
+    starting ``malformed annotation line N:``."""
     rows = read_jsonl(path, "annotation")
     _, header = next(rows, (0, {}))
     try:
@@ -484,9 +527,7 @@ def read_annotations_jsonl(
             raise ValueError(f"{where}: {exc}") from exc
         for dim, value in ann.ratings.items():
             if not low <= value <= high:
-                raise ValueError(
-                    f"annotation line {lineno}: {dim} rating {value} outside scale [{low}, {high}]"
-                )
-        check_new_pair(first_line, (ann.doc_id, ann.system_id), lineno, "annotations")
+                raise ValueError(f"{where}: {dim} rating {value} outside scale [{low}, {high}]")
+        check_new_pair(first_line, (ann.doc_id, ann.system_id), lineno, "malformed annotation")
         out.append(ann)
     return out, (low, high)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Vocabulary, atomic_write, tokenize
+from .corpus import UNK_ID, Corpus, Vocabulary, atomic_write
 
 INDEX_MAGIC = b"UMSEIDX1"
 
@@ -90,7 +90,8 @@ def build_index(corpus: Corpus, vocab: Vocabulary) -> Bm25Index:
     """Index document bodies (not summaries). Deterministic."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    token_lists = [tokenize(doc.text, vocab) for doc in corpus.documents]
+    id_of = vocab.token_to_id.get
+    token_lists = [[id_of(word, UNK_ID) for word in doc.words] for doc in corpus.documents]
     doc_len = [len(ids) for ids in token_lists]
     n_docs = len(corpus)
     tokens = np.fromiter(chain.from_iterable(token_lists), dtype=np.int64, count=sum(doc_len))

@@ -1230,7 +1230,7 @@ class TestEvaluate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == (
-            "annotations line 10: repeated (doc_id, system_id) ('d1', 's0'), first on line 3"
+            "malformed annotation line 10: repeated (doc_id, system_id) ('d1', 's0'), first on line 3"
         )
 
     @pytest.mark.parametrize(

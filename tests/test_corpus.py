@@ -119,6 +119,13 @@ class TestOracleEquivalence:
         assert segment_sentences(text) == oracles.segment_sentences_loop(text, ABBREVIATIONS)
         assert word_tokens(text) == oracles.word_tokens_loop(text)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_HOSTILE_TEXT)
+    def test_document_words_are_the_body_word_tokens(self, text):
+        doc = make_document("d", text, "a summary")
+        assert doc.words == tuple(word_tokens(text))
+        assert doc.words is doc.words
+
     def test_regex_whitespace_is_str_isspace(self):
         # the sentence-end pattern's lookahead uses \s where the loop used
         # str.isspace(); the two must agree on every code point

@@ -4,7 +4,9 @@ A ``synth`` corpus of 120 documents, with four hand-written documents
 appended whose text is hostile to the text layer (abbreviations, runs of
 terminals, quotes, brackets, Unicode spaces and case mappings), goes
 through ``build``, ``gendata`` and ``score --metric`` for ``rouge1`` and
-``rougeL``. Every artifact's sha256 is pinned. A change that is meant to
+``rougeL``. A seeded annotation file with heavy ties, two-system documents
+and constant-rating documents goes through ``evaluate --baseline``. Every
+artifact's sha256 is pinned. A change that is meant to
 keep outputs byte-identical must keep these digests; a change that moves
 them changes what the pipeline computes and must say so.
 """
@@ -14,6 +16,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from umse.cli import main
@@ -66,6 +69,10 @@ GOLDEN = {
     "rouge1.jsonl": "eb17bb3bc6a6a489b5f09e9b24488db6b6f46b9afc468287ebbe8a14312ee6ae",
     "rougeL.jsonl": "5b9e4bf5e969f70edd1428e2830aa81cccbdc3d265bf63bbd61b055dfa747b47",
 }
+
+# sha256 of the ``evaluate --baseline`` report over ``_evaluate_inputs``, as
+# computed by one ``spearman()`` call per document
+EVALUATE_GOLDEN = "a1b379402b4db4e2b6958d21accdb48ffcf11cd4a88873a69b9dcc1f3991ccda"
 
 
 def run_ok(argv) -> None:
@@ -134,3 +141,47 @@ def artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_digest(artifacts, name):
     assert _sha256(artifacts[name]) == GOLDEN[name]
+
+
+def _evaluate_inputs(root):
+    """Annotations, scores and baseline scores for 60 documents of 1 to 6
+    systems each, rows shuffled so no document's rows are contiguous.
+    Ratings are means of three 1-5 votes and scores are rounded to a
+    quarter, so both are heavily tied; every fifth document has one
+    rating for all its systems in every dimension, and every seventh has
+    one baseline score for all its systems."""
+    rng = np.random.default_rng(2007)
+    annotations, scores, baseline = [], [], []
+    for i in range(60):
+        n_systems = (5, 2, 3, 1, 6)[i % 5]
+        constant = rng.integers(1, 6, size=(4, 3)).mean(axis=1)
+        for j in range(n_systems):
+            votes = constant if i % 5 == 0 else rng.integers(1, 6, size=(4, 3)).mean(axis=1)
+            ratings = dict(zip(("coherence", "consistency", "fluency", "relevance"),
+                               votes.tolist()))
+            annotations.append({"doc_id": f"d{i}", "system_id": f"s{j}",
+                                "summary": f"summary {i} {j}", "ratings": ratings})
+            scores.append({"doc_id": f"d{i}", "system_id": f"s{j}",
+                           "score": round(float(rng.uniform(0, 2)) * 4) / 4})
+            base = 0.5 if i % 7 == 0 else round(float(rng.uniform(0, 1)) * 4) / 4
+            baseline.append({"doc_id": f"d{i}", "system_id": f"s{j}", "score": base})
+    paths = {}
+    for name, rows in (("annotations", annotations), ("scores", scores),
+                       ("baseline", baseline)):
+        order = rng.permutation(len(rows))
+        lines = [json.dumps(rows[k]) for k in order]
+        if name == "annotations":
+            lines.insert(0, json.dumps({"rating_scale": [1.0, 5.0]}))
+        paths[name] = root / f"{name}.jsonl"
+        paths[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def test_evaluate_report_digest(tmp_path):
+    paths = _evaluate_inputs(tmp_path)
+    out = io.StringIO()
+    argv = ["evaluate", "--scores", paths["scores"], "--annotations", paths["annotations"],
+            "--baseline", paths["baseline"]]
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in argv]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == EVALUATE_GOLDEN

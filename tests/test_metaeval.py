@@ -15,9 +15,11 @@ from umse.metaeval import (
     HumanAnnotation,
     SignificanceEntry,
     _lcs_length,
+    _per_document_spearman,
     _rank_average,
     evaluate,
     kendall_tau,
+    lcs_table,
     ngram_counts,
     paired_t_test,
     read_annotations_jsonl,
@@ -205,12 +207,30 @@ class TestExactKernels:
             assert np.array_equal(got, oracles.rank_average_loop(values))
             assert np.array_equal(got, np.array(oracles.average_ranks(values.tolist())))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grouped_ranks_equal_each_group_ranked_alone(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        n = int(rng.integers(1, 300))
+        groups = rng.integers(0, int(rng.integers(1, 40)), size=n)
+        values = np.round(rng.uniform(0.0, 3.0, size=n) * 2.0) / 2.0
+        values[rng.integers(0, n, size=n // 7)] = -0.0
+        got = _rank_average(values, groups)
+        for g in np.unique(groups):
+            rows = groups == g
+            assert np.array_equal(got[rows], _rank_average(values[rows]))
+        assert np.array_equal(_rank_average(values, np.zeros(n, dtype=np.int64)),
+                              _rank_average(values))
+
     def test_lcs_edge_cases(self):
         assert _lcs_length([], []) == 0
         assert _lcs_length([], ["a"]) == 0
         assert _lcs_length(["a", "a", "a"], []) == 0
         assert _lcs_length(["a"] * 100, ["a"] * 70) == 70
         assert _lcs_length([1, 2, 1, 2], [2, 1, 2, 1]) == 3
+
+    def test_lcs_table_marks_each_position(self):
+        assert lcs_table([]) == {}
+        assert lcs_table(["a", "b", "a", "c", "a"]) == {"a": 0b10101, "b": 0b10, "c": 0b1000}
 
     def test_lcs_equals_table_and_recursion_past_64_bits(self):
         rng = np.random.default_rng(80)
@@ -225,6 +245,8 @@ class TestExactKernels:
             want = oracles.lcs_length_table(a, b)
             assert _lcs_length(a, b) == want
             assert _lcs_length(b, a) == want
+            assert _lcs_length(a, b, lcs_table(b)) == want
+            assert _lcs_length(b, a, lcs_table(a)) == want
             assert want == oracles.lcs_length_recursive(tuple(a), tuple(b))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -410,6 +432,20 @@ class TestRouge:
             assert p == pytest.approx(want / len(cand), abs=1e-15)
             assert r == pytest.approx(want / len(ref), abs=1e-15)
 
+    def test_given_lcs_table_gives_the_same_bits(self):
+        rng = np.random.default_rng(43)
+        for trial in range(80):
+            # lengths on both sides of each other and of 64 bits
+            n_cand, n_ref = (int(v) for v in rng.integers(1, 150, size=2))
+            cand = [f"w{t}" for t in rng.integers(0, 6, size=n_cand)]
+            ref = [f"w{t}" for t in rng.integers(0, 6, size=n_ref)]
+            want = oracles.lcs_length_table(cand, ref)
+            expected = (want / n_cand, want / n_ref)
+            for a, b in ((cand, ref), (ref, cand)):
+                plain = rouge_l(a, b)
+                assert plain == rouge_l(a, b, lcs_table(b))
+                assert plain[:2] == (expected if a is cand else expected[::-1])
+
 
 def _make_annotation(doc_id, system_id, base):
     return HumanAnnotation(
@@ -471,8 +507,11 @@ class TestAnnotations:
         text = path.read_text(encoding="utf-8").splitlines()
         text[0] = json.dumps({"rating_scale": [1.0, 5.0]})
         path.write_text("\n".join(text) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"line 2: coherence rating 9\.0 outside"):
+        with pytest.raises(ValueError) as info:
             read_annotations_jsonl(path)
+        assert str(info.value) == (
+            "malformed annotation line 2: coherence rating 9.0 outside scale [1.0, 5.0]"
+        )
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "anns.jsonl"
@@ -514,7 +553,7 @@ class TestAnnotations:
         with pytest.raises(ValueError) as info:
             read_annotations_jsonl(path)
         assert str(info.value) == (
-            "annotations line 4: repeated (doc_id, system_id) ('d0', 's0'), first on line 2"
+            "malformed annotation line 4: repeated (doc_id, system_id) ('d0', 's0'), first on line 2"
         )
 
 
@@ -629,8 +668,8 @@ class TestSignificance:
             [main[d] for d in docs], [base[d] for d in docs]
         )
         assert n == len(docs)
-        assert t == pytest.approx(t_want, abs=1e-12)
-        assert p == pytest.approx(p_want, abs=1e-12)
+        assert t == t_want
+        assert p == p_want
 
     def test_identical_scorers_rejected(self):
         good, _, annotations = self._fixture(n_docs=4, n_systems=4)
@@ -653,6 +692,47 @@ class TestSignificance:
                 b_scores.append((doc_id, f"s{j}", float(rng.uniform())))
         _, _, n = significance_against_baseline(a_scores, b_scores, annotations, "relevance")
         assert n == 2
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_grouped_rhos_equal_per_document_spearman(self, seed):
+        """Documents of 1 to 9 rows with their rows interleaved, heavy ties,
+        constant scores or ratings, and non-finite rows: the grouped pass
+        keeps exactly the documents ``spearman()`` accepts, with its bits."""
+        rng = np.random.default_rng(300 + seed)
+        rows = []
+        for i in range(40):
+            kind = i % 6
+            for j in range(int(rng.integers(1, 10))):
+                value = round(float(rng.uniform(0.0, 2.0)) * 4.0) / 4.0
+                rating = float(rng.integers(3, 16)) / 3.0
+                if kind == 1:
+                    value = 0.5
+                elif kind == 2:
+                    rating = 3.0
+                elif kind == 3 and j == 1:
+                    value = [math.nan, math.inf, -math.inf][i % 3]
+                elif kind == 4 and j == 0:
+                    rating = math.nan
+                elif kind == 5:
+                    value = -0.0 if j % 2 else 0.0
+                rows.append((f"d{i}", f"s{j}", value, rating))
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        scores = [(d, s, v) for d, s, v, _ in rows]
+        annotations = [
+            HumanAnnotation(d, s, "x", {dim: r for dim in DIMENSIONS}) for d, s, _, r in rows
+        ]
+        by_doc = {}
+        for d, _, v, r in rows:
+            by_doc.setdefault(d, []).append((v, r))
+        want = {}
+        for d, pairs in by_doc.items():
+            try:
+                want[d] = spearman([v for v, _ in pairs], [r for _, r in pairs])
+            except ValueError:
+                continue
+        got = _per_document_spearman(scores, annotations, "coherence")
+        assert got == want
+        assert 0 < len(want) < len(by_doc)
 
     def test_too_few_documents_rejected(self):
         good, noise, annotations = self._fixture(n_docs=1, n_systems=6)
