@@ -51,18 +51,20 @@ from .metaeval import (
     SignificanceEntry,
     evaluate,
     finite_number,
+    join_ratings,
     lcs_table,
     ngram_counts,
+    paired_significance,
     read_annotations_jsonl,
     rouge_l,
     rouge_n,
-    significance_against_baseline,
 )
 from .model import (
     FUSION_METHODS,
     SCENARIOS,
     ModelConfig,
     fuse,
+    inference_params,
     init_parameters,
     load_checkpoint,
     score,
@@ -266,8 +268,9 @@ _SCORE_CHUNK = 8
 
 @dataclasses.dataclass(frozen=True)
 class _ScoreJob:
-    """Everything a worker needs to score rows: the model, the vocabulary,
-    the mode, and the parsed (line number, row) pairs."""
+    """Everything a worker needs to score rows: the model's float32
+    parameters, the vocabulary, the mode, and the parsed (line number, row)
+    pairs."""
 
     params: dict
     config: ModelConfig
@@ -307,8 +310,9 @@ def _score_chunk(
                             document=doc,
                         ).score
                     )
-            except ValueError as exc:  # the row's text does not fit the template
-                raise ValueError(f"{where}: {exc}") from None
+            # the row's text does not fit the template, or its forward overflows
+            except (ValueError, FloatingPointError) as exc:
+                raise type(exc)(f"{where}: {exc}") from None
         except (ValueError, FloatingPointError) as exc:
             return values, exc
     return values, None
@@ -370,7 +374,11 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"vocab {args.vocab} has {len(vocab)} tokens, "
                 f"but the checkpoint was trained on {model_config.vocab_size}"
             )
-        values = _score_rows(_ScoreJob(params, model_config, vocab, scenario, fusion, rows))
+        # the workers score on one float32 copy, made before they fork;
+        # the float64 arrays are freed first
+        job = _ScoreJob(inference_params(params), model_config, vocab, scenario, fusion, rows)
+        del params
+        values = _score_rows(job)
         for (_lineno, row), value in zip(rows, values):
             out.append(_score_row(row, value, scenario, fusion, None))
     if args.out:
@@ -404,13 +412,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if dim not in DIMENSIONS:
             raise ValueError(f"unknown dimension: {dim}")
     report = CorrelationReport(aggregation="system" if args.system_level else "pooled")
+    # each scorer is joined to the annotations once, for every dimension
+    joined = join_ratings(scores, annotations)
     for dim in dims:
-        report.results.append(evaluate(scores, annotations, dim, system_level=args.system_level))
+        report.results.append(evaluate(joined, dim, system_level=args.system_level))
     if args.baseline is not None:
-        baseline_scores = _read_scores_file(args.baseline)
+        baseline = join_ratings(_read_scores_file(args.baseline), annotations)
         name = args.baseline_name or Path(args.baseline).stem
         for dim in dims:
-            t, p, _n = significance_against_baseline(scores, baseline_scores, annotations, dim)
+            t, p, _n = paired_significance(joined, baseline, dim)
             report.significance.append(SignificanceEntry(dim, name, t, p))
     print(report.to_json())
     return 0

@@ -362,40 +362,53 @@ class CorrelationReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _join_ratings(
-    scores: list[tuple[str, str, float]],
-    annotations: list[HumanAnnotation],
-    dimension: str,
-) -> list[tuple[str, str, float, float]]:
-    """``(doc_id, system_id, score, rating)`` for each score, in order; a
-    score with no annotation for its (doc_id, system_id) raises."""
+@dataclass(frozen=True)
+class JoinedRatings:
+    """One scorer's rows beside the human ratings of the same (doc_id,
+    system_id), in score order, with every dimension's ratings."""
+
+    doc_ids: list[str]
+    system_ids: list[str]
+    values: np.ndarray
+    ratings: dict[str, np.ndarray]
+
+
+def join_ratings(
+    scores: list[tuple[str, str, float]], annotations: list[HumanAnnotation]
+) -> JoinedRatings:
+    """Join ``(doc_id, system_id, score)`` rows to their annotations once,
+    for every dimension; a score with no annotation for its (doc_id,
+    system_id) raises."""
     lookup = {(ann.doc_id, ann.system_id): ann for ann in annotations}
-    joined = []
-    for doc_id, system_id, value in scores:
+    matched = []
+    for doc_id, system_id, _ in scores:
         ann = lookup.get((doc_id, system_id))
         if ann is None:
             raise ValueError(f"no annotation for doc_id={doc_id!r} system_id={system_id!r}")
-        joined.append((doc_id, system_id, float(value), float(ann.ratings[dimension])))
-    return joined
+        matched.append(ann)
+    return JoinedRatings(
+        doc_ids=[doc_id for doc_id, _, _ in scores],
+        system_ids=[system_id for _, system_id, _ in scores],
+        values=np.array([value for _, _, value in scores], dtype=float),
+        ratings={
+            dim: np.array([ann.ratings[dim] for ann in matched], dtype=float)
+            for dim in DIMENSIONS
+        },
+    )
 
 
 def evaluate(
-    scores: list[tuple[str, str, float]],
-    annotations: list[HumanAnnotation],
-    dimension: str,
-    system_level: bool = False,
+    joined: JoinedRatings, dimension: str, system_level: bool = False
 ) -> DimensionResult:
-    """Correlate scorer outputs with one rating dimension. Default pools
+    """Correlate a joined scorer with one rating dimension. Default pools
     every (doc, system) summary into one pair list; system_level averages
     per system first and correlates the per-system means."""
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown dimension: {dimension}")
-    joined = _join_ratings(scores, annotations, dimension)
-    xs = [value for _, _, value, _ in joined]
-    ys = [rating for _, _, _, rating in joined]
+    xs, ys = joined.values, joined.ratings[dimension]
     if system_level:
         by_system: dict[str, list[tuple[float, float]]] = {}
-        for _, system_id, value, rating in joined:
+        for system_id, value, rating in zip(joined.system_ids, xs, ys):
             by_system.setdefault(system_id, []).append((value, rating))
         systems = sorted(by_system)
         xs = [float(np.mean([v for v, _ in by_system[s]])) for s in systems]
@@ -408,23 +421,17 @@ def evaluate(
     )
 
 
-def _per_document_spearman(
-    scores: list[tuple[str, str, float]],
-    annotations: list[HumanAnnotation],
-    dimension: str,
-) -> dict[str, float]:
+def _per_document_spearman(joined: JoinedRatings, dimension: str) -> dict[str, float]:
     """``spearman()`` of each document's scores against its ratings, for
     the documents where it is defined: at least 3 rows, finite values, and
     neither scores nor ratings constant. All documents are ranked in one
     grouped pass and summed with ``np.bincount``; see the module docstring
     for why each rho keeps ``spearman()``'s bits."""
-    joined = _join_ratings(scores, annotations, dimension)
     doc_of: dict[str, int] = {}
     groups = np.array(
-        [doc_of.setdefault(doc_id, len(doc_of)) for doc_id, _, _, _ in joined], dtype=np.int64
+        [doc_of.setdefault(doc_id, len(doc_of)) for doc_id in joined.doc_ids], dtype=np.int64
     )
-    x = np.array([value for _, _, value, _ in joined])
-    y = np.array([rating for _, _, _, rating in joined])
+    x, y = joined.values, joined.ratings[dimension]
     n_docs = len(doc_of)
     count = np.bincount(groups, minlength=n_docs)
     finite = np.bincount(groups, ~(np.isfinite(x) & np.isfinite(y)), n_docs) == 0
@@ -441,26 +448,35 @@ def _per_document_spearman(
     return {doc_ids[k]: r for k, r in zip(keep.tolist(), rho.tolist())}
 
 
+def paired_significance(
+    joined: JoinedRatings, baseline: JoinedRatings, dimension: str
+) -> tuple[float, float, int]:
+    """Paired t-test between two joined scorers on one dimension. The
+    paired samples are per-document Spearman correlations against the
+    ratings, computed across systems within each document; documents where
+    either correlation is undefined drop out of the pairing. Returns
+    (t, p, n) with n the number of paired documents."""
+    if dimension not in DIMENSIONS:
+        raise ValueError(f"unknown dimension: {dimension}")
+    main = _per_document_spearman(joined, dimension)
+    base = _per_document_spearman(baseline, dimension)
+    docs = sorted(set(main) & set(base))
+    if len(docs) < 2:
+        raise ValueError("need at least 2 documents with defined correlations")
+    t, p = paired_t_test([main[d] for d in docs], [base[d] for d in docs])
+    return t, p, len(docs)
+
+
 def significance_against_baseline(
     scores: list[tuple[str, str, float]],
     baseline_scores: list[tuple[str, str, float]],
     annotations: list[HumanAnnotation],
     dimension: str,
 ) -> tuple[float, float, int]:
-    """Paired t-test between two scorers on one dimension. The paired
-    samples are per-document Spearman correlations against the ratings,
-    computed across systems within each document; documents where either
-    correlation is undefined drop out of the pairing. Returns (t, p, n)
-    with n the number of paired documents."""
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"unknown dimension: {dimension}")
-    main = _per_document_spearman(scores, annotations, dimension)
-    base = _per_document_spearman(baseline_scores, annotations, dimension)
-    docs = sorted(set(main) & set(base))
-    if len(docs) < 2:
-        raise ValueError("need at least 2 documents with defined correlations")
-    t, p = paired_t_test([main[d] for d in docs], [base[d] for d in docs])
-    return t, p, len(docs)
+    """``paired_significance`` on fresh joins of both scorers."""
+    return paired_significance(
+        join_ratings(scores, annotations), join_ratings(baseline_scores, annotations), dimension
+    )
 
 
 def write_annotations_jsonl(

@@ -17,9 +17,12 @@ content and special positions (prefix rows excluded); the head is
 three affine layers with tanh after the first two, softmax on two logits,
 and the positive-class probability is the score.
 
-All math is float64. The forward pass records the intermediates needed for
-the manual reverse pass (see the training module). ``worker_pool`` is the
-fork pool that scoring and training spread their work over.
+The forward pass computes in the dtype of the parameters it is given and
+records the intermediates needed for the manual reverse pass (see the
+training module). Training keeps its parameters, gradients and optimizer
+state in float64; scoring runs the same forward on a float32 copy of them
+(``inference_params``). ``worker_pool`` is the fork pool that scoring and
+training spread their work over.
 """
 
 from __future__ import annotations
@@ -266,7 +269,10 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return y, xhat, invstd
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, like every scalar the forward mixes with arrays: numpy
+# treats them as weakly typed, so a float32 pass stays float32 under both
+# the value-based promotion of numpy 1.x and the NEP 50 rules of 2.x
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 # elements per chunk of a chained elementwise pass: a few chunk-sized arrays
 # fit a 2 MB L2 cache, so the chain reads a large array from memory once
@@ -303,7 +309,7 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     repeated multiply: the pow ufunc is an order of magnitude slower and
     this runs on every feed-forward activation."""
     x = np.ascontiguousarray(x)
-    act, t = np.empty(x.shape), np.empty(x.shape)
+    act, t = np.empty_like(x), np.empty_like(x)
     xr, ar, tr = _rows(x), _rows(act), _rows(t)
     scratch = np.empty_like(xr[: _rows_per_chunk(xr.shape[1])])
     for rows in _row_chunks(*xr.shape):
@@ -443,12 +449,17 @@ def forward_batch(
     batch, as long as row i of ``A @ W`` does not depend on A's other rows
     for two or more rows (true of OpenBLAS's gemm; a lone row takes gemv,
     which rounds differently, which is why the head is never batched).
+
+    Every array the pass makes, the cache's included, has the dtype of
+    ``params``: float64 for training, float32 for scoring (see ``score``).
+    A non-finite encoding or logit raises ``FloatingPointError``.
     """
     if not layouts:
         raise ValueError("empty batch")
     z = config.hidden_dim
     heads = config.n_heads
-    scale = np.sqrt(z // heads)
+    scale = math.sqrt(z // heads)
+    dtype = params["tok_emb"].dtype
 
     offsets = np.zeros(len(layouts) + 1, dtype=np.int64)
     np.cumsum([layout.length for layout in layouts], out=offsets[1:])
@@ -456,7 +467,9 @@ def forward_batch(
     prefix_base = params["prefix_base"]
     pos_emb = params["pos_emb"]
     emb = params["tok_emb"][np.where(ids == _PREFIX_SLOT, 0, ids)]
-    cache = ForwardCache(offsets=offsets, ids=ids, pool_counts=np.empty(len(layouts)), emb=emb)
+    cache = ForwardCache(
+        offsets=offsets, ids=ids, pool_counts=np.empty(len(layouts), dtype), emb=emb
+    )
     segments = [cache.segment(i) for i in range(len(layouts))]
     for rows, layout in zip(segments, layouts):
         if layout.n_prefix:
@@ -507,7 +520,7 @@ def forward_batch(
     if not np.isfinite(h_enc).all():
         raise FloatingPointError("numerical divergence")
 
-    pooled = np.empty((len(layouts), z))
+    pooled = np.empty((len(layouts), z), dtype)
     for i, rows in enumerate(segments):
         mask = cache.pool_mask(i)
         cache.pool_counts[i] = mask.sum()
@@ -527,6 +540,26 @@ class ScoreOutput:
     score: float  # positive-class probability
 
 
+def inference_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The float32 parameters ``score`` computes with: float32 arrays as
+    they are, every other one cast. A value that is finite but outside the
+    float32 range raises ``FloatingPointError`` naming its parameter, so it
+    cannot reach the forward as an infinity; NaN and infinities pass, and
+    the forward reports them."""
+    out = {}
+    for name, arr in params.items():
+        with np.errstate(over="ignore"):
+            cast = arr.astype(np.float32, copy=False)
+        if cast is not arr and not np.isfinite(cast).all():
+            overflow = np.isinf(cast) & np.isfinite(arr)
+            if overflow.any():
+                raise FloatingPointError(
+                    f"parameter {name} holds {arr[overflow][0]:g}, outside the float32 range"
+                )
+        out[name] = cast
+    return out
+
+
 def score(
     params: dict[str, np.ndarray],
     config: ModelConfig,
@@ -536,8 +569,16 @@ def score(
     document: tuple[int, ...] | None = None,
     use_prefix: bool = True,
 ) -> ScoreOutput:
+    """One example's score, computed in float32 on ``inference_params``.
+
+    Float32 parameters pass through uncopied, so a caller scoring many
+    examples casts once and hands the copy in; float64 parameters are cast
+    on each call, to the same bits. A non-finite forward raises
+    ``FloatingPointError`` without printing numpy's warnings.
+    """
     layout = assemble_input(scenario, candidate, reference, document, config, use_prefix)
-    cache = forward_batch(params, config, [layout])
+    with np.errstate(all="ignore"):
+        cache = forward_batch(inference_params(params), config, [layout])
     return ScoreOutput(score=float(cache.probs[0, 1]))
 
 

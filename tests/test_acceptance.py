@@ -46,6 +46,7 @@ from umse.metaeval import (
     DIMENSIONS,
     HumanAnnotation,
     evaluate,
+    join_ratings,
     kendall_tau,
     rouge_n,
     significance_against_baseline,
@@ -455,9 +456,10 @@ def test_criterion_8_meta_evaluation_pipeline():
 
     failures = []
     details = []
+    joined_planted, joined_lexical = (join_ratings(s, annotations) for s in (planted, lexical))
     for dim in DIMENSIONS:
-        rho_planted = evaluate(planted, annotations, dim).spearman_rho
-        rho_lexical = evaluate(lexical, annotations, dim).spearman_rho
+        rho_planted = evaluate(joined_planted, dim).spearman_rho
+        rho_lexical = evaluate(joined_lexical, dim).spearman_rho
         _, p, _ = significance_against_baseline(planted, lexical, annotations, dim)
         details.append(f"{dim} {rho_planted:.3f}>{rho_lexical:.3f} p={p:.1e}")
         if not rho_planted > 0.95:

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import re
 import signal
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -16,9 +17,9 @@ import pytest
 
 from umse import cli, model, training
 from umse.cli import _train_defaults, build_parser, main
-from umse.corpus import word_tokens
+from umse.corpus import Vocabulary, tokenize, word_tokens
 from umse.metaeval import DIMENSIONS, HumanAnnotation, rouge_n, write_annotations_jsonl
-from umse.model import ModelConfig, init_parameters, save_checkpoint
+from umse.model import ModelConfig, fuse, init_parameters, load_checkpoint, save_checkpoint
 from umse.retrieval import load_index
 from umse.training import TrainConfig
 
@@ -697,6 +698,60 @@ class TestScore:
         )
         assert code == 1
         assert json.loads(err)["error"] == "input line 2: missing field 'document'"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("SR",), ("SD",), ("SDR",), ("SDR", "--fusion", "arithmetic_mean")],
+    )
+    def test_output_equals_model_score_on_float64_params(self, ws, flags):
+        """``model.score`` casts float64 parameters exactly as the command
+        casts its checkpoint, so the two agree to the bit."""
+        params, config = load_checkpoint(ws["checkpoint"])
+        assert params["tok_emb"].dtype == np.float64
+        vocab = Vocabulary.load(ws["vocab"])
+        got = self._scores(ws, "--scenario", *flags)
+        rows = [json.loads(line) for line in ws["inputs"].read_text("utf-8").splitlines()]
+        assert len(got) == len(rows) == 6
+        for row, value in zip(rows, got):
+            cand, ref, doc = (tuple(tokenize(row[f], vocab))
+                              for f in ("candidate", "reference", "document"))
+
+            def direct(sc):
+                return model.score(params, config, sc, cand, reference=ref, document=doc).score
+
+            if len(flags) > 1:
+                assert value == fuse(direct("SR"), direct("SD"), "arithmetic_mean")
+            else:
+                assert value == direct(flags[0])
+
+    def _score_broken_checkpoint(self, ws, tmp_path, name, value):
+        params, config = load_checkpoint(ws["checkpoint"])
+        params[name].flat[0] = value
+        checkpoint = tmp_path / "broken.ckpt"
+        save_checkpoint(params, config, checkpoint)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                ["score", "--inputs", ws["inputs"], "--checkpoint", checkpoint,
+                 "--vocab", ws["vocab"], "--scenario", "SDR"]
+            )
+        assert caught == []
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        return json.loads(err)["error"]
+
+    def test_weight_outside_float32_range_is_refused(self, ws, tmp_path):
+        """Finite in float64, a 1e39 weight has no float32 value: the
+        checkpoint is refused when its copy is cast, naming the weight."""
+        error = self._score_broken_checkpoint(ws, tmp_path, "layer0.attn.wv", 1e39)
+        assert error == "parameter layer0.attn.wv holds 1e+39, outside the float32 range"
+
+    def test_float32_overflow_is_one_json_line(self, ws, tmp_path):
+        """A 3e38 gain is in range, but the normalized values it scales
+        overflow float32: the first row reports it, and numpy prints no
+        warning."""
+        error = self._score_broken_checkpoint(ws, tmp_path, "final_ln.gamma", 3e38)
+        assert error == "input line 1: numerical divergence"
 
     def test_metric_rouge1_matches_direct_computation(self, ws, tmp_path):
         rows = [

@@ -4,7 +4,8 @@ A ``synth`` corpus of 120 documents, with four hand-written documents
 appended whose text is hostile to the text layer (abbreviations, runs of
 terminals, quotes, brackets, Unicode spaces and case mappings), goes
 through ``build``, ``gendata`` and ``score --metric`` for ``rouge1`` and
-``rougeL``. A seeded annotation file with heavy ties, two-system documents
+``rougeL``, and through ``score`` with a seeded 16-wide checkpoint in the
+SR, SD and SDR scenarios and fused. A seeded annotation file with heavy ties, two-system documents
 and constant-rating documents goes through ``evaluate --baseline``. Every
 artifact's sha256 is pinned. A change that is meant to
 keep outputs byte-identical must keep these digests; a change that moves
@@ -20,6 +21,8 @@ import numpy as np
 import pytest
 
 from umse.cli import main
+from umse.corpus import Vocabulary
+from umse.model import ModelConfig, init_parameters, save_checkpoint
 
 HOSTILE_DOCS = [
     {
@@ -70,6 +73,25 @@ GOLDEN = {
     "rougeL.jsonl": "5b9e4bf5e969f70edd1428e2830aa81cccbdc3d265bf63bbd61b055dfa747b47",
 }
 
+# sha256 of ``umse score`` on an init_parameters checkpoint of
+# ``CHECKPOINT_CONFIG``, per scoring mode; taken from the float32 forward
+MODEL_GOLDEN = {
+    "SR.jsonl": "c3692de8adf00e30607e1c1799bb3978790a5aa06d08d5a47b57aed33cfe9e52",
+    "SD.jsonl": "73a2c6d4083e9ed54a3f0b6e03e38ae26d75f8ec9e6611960f3956de986d985b",
+    "SDR.jsonl": "a444cc377e7784cedebf322d809ad5591b68c5a4d15a9691bce08653b5f2e5ce",
+    "fused.jsonl": "63dab8d3985a3d1333036ad7d9da80322612f9cf90b54feb9727e9ce01d9fb6c",
+}
+MODEL_MODES = {
+    "SR.jsonl": ["--scenario", "SR"],
+    "SD.jsonl": ["--scenario", "SD"],
+    "SDR.jsonl": ["--scenario", "SDR"],
+    "fused.jsonl": ["--scenario", "SDR", "--fusion", "arithmetic_mean"],
+}
+# small enough that every product runs on one BLAS thread, so the bytes do
+# not depend on the thread count
+CHECKPOINT_CONFIG = dict(hidden_dim=16, n_layers=2, n_heads=2, ffn_dim=32, prefix_len=4,
+                         max_len=128, init_seed=7)
+
 # sha256 of the ``evaluate --baseline`` report over ``_evaluate_inputs``, as
 # computed by one ``spearman()`` call per document
 EVALUATE_GOLDEN = "a1b379402b4db4e2b6958d21accdb48ffcf11cd4a88873a69b9dcc1f3991ccda"
@@ -85,9 +107,10 @@ def _sha256(path) -> str:
 
 
 def _score_inputs(corpus_lines: list[str]) -> str:
-    """Three systems per document, all scored against its summary, so each
-    reference repeats; the candidates are the summary, the first 30 words
-    of the text, and the text's words in reverse order."""
+    """Three systems per document, all scored against its summary and
+    text, so each reference and document repeats; the candidates are the
+    summary, the first 30 words of the text, and the text's words in
+    reverse order."""
     rows = []
     for line in corpus_lines:
         doc = json.loads(line)
@@ -103,6 +126,7 @@ def _score_inputs(corpus_lines: list[str]) -> str:
                     "system_id": system_id,
                     "candidate": candidate,
                     "reference": doc["summary"],
+                    "document": doc["text"],
                 }
             )
     return "".join(json.dumps(row) + "\n" for row in rows)
@@ -135,12 +159,25 @@ def artifacts(tmp_path_factory):
     inputs.write_text(_score_inputs(lines), encoding="utf-8")
     for metric in ("rouge1", "rougeL"):
         run_ok(["score", "--inputs", inputs, "--metric", metric, "--out", out / f"{metric}.jsonl"])
-    return {"corpus.jsonl": synth, **{name: out / name for name in GOLDEN if name != "corpus.jsonl"}}
+    vocab_size = len(Vocabulary.load(out / "vocab.txt"))
+    config = ModelConfig(vocab_size=vocab_size, **CHECKPOINT_CONFIG)
+    checkpoint = root / "init.ckpt"
+    save_checkpoint(init_parameters(config), config, checkpoint)
+    for name, flags in MODEL_MODES.items():
+        run_ok(["score", "--inputs", inputs, "--checkpoint", checkpoint,
+                "--vocab", out / "vocab.txt", *flags, "--out", out / name])
+    names = [name for name in (*GOLDEN, *MODEL_GOLDEN) if name != "corpus.jsonl"]
+    return {"corpus.jsonl": synth, **{name: out / name for name in names}}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_digest(artifacts, name):
     assert _sha256(artifacts[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_GOLDEN))
+def test_model_score_digest(artifacts, name):
+    assert _sha256(artifacts[name]) == MODEL_GOLDEN[name]
 
 
 def _evaluate_inputs(root):

@@ -18,6 +18,7 @@ from umse.metaeval import (
     _per_document_spearman,
     _rank_average,
     evaluate,
+    join_ratings,
     kendall_tau,
     lcs_table,
     ngram_counts,
@@ -576,13 +577,13 @@ class TestEvaluate:
         aligned = [
             (a.doc_id, a.system_id, a.ratings["fluency"]) for a in annotations
         ]
-        res = evaluate(aligned, annotations, "fluency")
+        res = evaluate(join_ratings(aligned, annotations), "fluency")
         assert res.spearman_rho == pytest.approx(1.0, abs=1e-12)
         assert res.kendall_tau == pytest.approx(1.0, abs=1e-12)
 
     def test_pooled_matches_oracles(self):
         scores, annotations = self._fixture()
-        res = evaluate(scores, annotations, "coherence")
+        res = evaluate(join_ratings(scores, annotations), "coherence")
         lookup = {(a.doc_id, a.system_id): a for a in annotations}
         xs = [v for _, _, v in scores]
         ys = [lookup[(d, s)].ratings["coherence"] for d, s, _ in scores]
@@ -595,12 +596,12 @@ class TestEvaluate:
 
     def test_hundred_by_sixteen_pools_1600(self):
         scores, annotations = self._fixture(n_docs=100, n_systems=16, seed=3)
-        res = evaluate(scores, annotations, "relevance")
+        res = evaluate(join_ratings(scores, annotations), "relevance")
         assert res.n == 1600
 
     def test_system_level_aggregation(self):
         scores, annotations = self._fixture(n_docs=8, n_systems=4, seed=11)
-        res = evaluate(scores, annotations, "consistency", system_level=True)
+        res = evaluate(join_ratings(scores, annotations), "consistency", system_level=True)
         lookup = {(a.doc_id, a.system_id): a for a in annotations}
         by_system = {}
         for d, s, v in scores:
@@ -615,12 +616,12 @@ class TestEvaluate:
         scores, annotations = self._fixture()
         scores.append(("d99", "s0", 0.5))
         with pytest.raises(ValueError, match="doc_id='d99' system_id='s0'"):
-            evaluate(scores, annotations, "coherence")
+            join_ratings(scores, annotations)
 
     def test_unknown_dimension_rejected(self):
         scores, annotations = self._fixture()
         with pytest.raises(ValueError, match="unknown dimension"):
-            evaluate(scores, annotations, "novelty")
+            evaluate(join_ratings(scores, annotations), "novelty")
 
 
 class TestSignificance:
@@ -730,7 +731,7 @@ class TestSignificance:
                 want[d] = spearman([v for v, _ in pairs], [r for _, r in pairs])
             except ValueError:
                 continue
-        got = _per_document_spearman(scores, annotations, "coherence")
+        got = _per_document_spearman(join_ratings(scores, annotations), "coherence")
         assert got == want
         assert 0 < len(want) < len(by_doc)
 

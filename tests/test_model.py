@@ -1,5 +1,9 @@
 """Encoder, prefix conditioning, head, fusion and checkpoint tests."""
 
+import dataclasses
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from umse.model import (
     assemble_input,
     forward_batch,
     fuse,
+    inference_params,
     init_parameters,
     load_checkpoint,
     param_shapes,
@@ -379,6 +384,127 @@ class TestPacking:
         for i, layout in enumerate(layouts):
             assert cache.ids[cache.segment(i)].tolist() == list(layout.ids)
             assert cache.pool_counts[i] == layout.length - layout.n_prefix
+
+
+def _cache_arrays(cache) -> list[np.ndarray]:
+    """Every array a ``ForwardCache`` holds, layer caches and per-example
+    attention lists included, in field order."""
+    out = []
+    for f in dataclasses.fields(cache):
+        value = getattr(cache, f.name)
+        for item in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(item):
+                out += _cache_arrays(item)
+            elif isinstance(item, np.ndarray):
+                out.append(item)
+    return out
+
+
+def _small_perturbed_batch():
+    """A 16-wide encoder with perturbed parameters and two rows of each
+    scenario. Its products are small enough that the BLAS runs them on one
+    thread, so their bits do not depend on the thread count."""
+    config = small_config(vocab_size=500, init_seed=5)
+    params = init_parameters(config)
+    rng = np.random.default_rng(5)
+    for name in params:
+        params[name] += rng.normal(scale=0.05, size=params[name].shape)
+
+    def draw(lo, hi):
+        return tuple(int(v) for v in rng.integers(4, 500, size=int(rng.integers(lo, hi))))
+
+    layouts = [
+        assemble_input(sc, draw(1, 20), draw(1, 10), draw(1, 30), config)
+        for sc in ("SR", "SD", "SDR") * 2
+    ]
+    return config, params, layouts
+
+
+# sha256 over the dtype name and bytes of every array in the float64
+# ForwardCache of ``_small_perturbed_batch``, taken from the float64-only
+# forward that preceded the dtype-generic one
+FLOAT64_CACHE_SHA256 = "c55077a7bd0fbdc480ce57864da7a17670d6d1768c8879a0e01f4213d956e2ed"
+
+
+class TestDtype:
+    """The forward computes in the dtype of its parameters; scoring runs it
+    in float32 on ``inference_params``."""
+
+    def test_float32_params_give_a_float32_cache(self):
+        config, params, layouts = _small_perturbed_batch()
+        cache = forward_batch(inference_params(params), config, layouts)
+        for arr in _cache_arrays(cache):
+            if arr is cache.offsets or arr is cache.ids:
+                assert arr.dtype == np.int64
+            else:
+                assert arr.dtype == np.float32
+
+    def test_float64_cache_keeps_its_bits(self):
+        config, params, layouts = _small_perturbed_batch()
+        cache = forward_batch(params, config, layouts)
+        digest = hashlib.sha256()
+        for arr in _cache_arrays(cache):
+            assert arr.dtype == (np.int64 if arr is cache.offsets or arr is cache.ids
+                                 else np.float64)
+            digest.update(str(arr.dtype).encode())
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == FLOAT64_CACHE_SHA256
+
+    def test_float32_probabilities_near_float64(self):
+        config, params, layouts = _small_perturbed_batch()
+        p64 = forward_batch(params, config, layouts).probs
+        p32 = forward_batch(inference_params(params), config, layouts).probs
+        assert np.abs(p32.astype(np.float64) - p64).max() < 1e-5
+
+    def test_score_on_float64_params_casts_like_inference_params(self):
+        config, params, _ = _small_perturbed_batch()
+        cast = inference_params(params)
+        cand, ref, doc = _ids(5, 6, 7), _ids(8, 9), _ids(10, 11, 12, 13)
+        for sc in ("SR", "SD", "SDR"):
+            got = score(params, config, sc, cand, ref, doc)
+            layout = assemble_input(sc, cand, ref, doc, config)
+            assert got.score == float(forward_batch(cast, config, [layout]).probs[0, 1])
+            assert score(cast, config, sc, cand, ref, doc) == got
+
+    def test_float32_params_pass_uncopied(self):
+        config, params, _ = _small_perturbed_batch()
+        cast = inference_params(params)
+        assert all(cast[name].dtype == np.float32 for name in params)
+        again = inference_params(cast)
+        assert all(again[name] is cast[name] for name in params)
+
+    def test_value_outside_float32_range_names_its_parameter(self):
+        config, params, _ = _small_perturbed_batch()
+        params["layer1.ffn.w2"][3, 2] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=r"^parameter layer1\.ffn\.w2 holds "
+                               r"-1e\+39, outside the float32 range$"):
+                inference_params(params)
+            with pytest.raises(FloatingPointError, match="layer1.ffn.w2"):
+                score(params, config, "SR", _ids(5, 6), _ids(8,), None)
+
+    def test_nan_and_infinity_reach_the_forward(self):
+        config, params, _ = _small_perturbed_batch()
+        params["tok_emb"][5, 0] = np.nan
+        params["tok_emb"][6, 0] = -np.inf
+        cast = inference_params(params)
+        assert np.isnan(cast["tok_emb"][5, 0]) and cast["tok_emb"][6, 0] == -np.inf
+        for token in (5, 6):
+            with pytest.raises(FloatingPointError, match="numerical divergence"):
+                score(params, config, "SR", _ids(token, 7), _ids(8,), None)
+
+    def test_float32_overflow_raises_without_warnings(self):
+        """A gain of 3e38 is in float32 range, but the normalized rows it
+        scales pass it, so the float32 encoding overflows where the float64
+        one does not."""
+        config, params, layouts = _small_perturbed_batch()
+        params["final_ln.gamma"][:] = 3e38
+        assert np.isfinite(forward_batch(params, config, layouts[:1]).probs).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="numerical divergence"):
+                score(params, config, "SR", _ids(5, 6), _ids(8,), None)
 
 
 class TestKernelsMatchDenseExpressions:
