@@ -71,7 +71,7 @@ from .model import (
     worker_pool,
 )
 from .retrieval import build_index, load_index, save_index
-from .training import MODES, TrainConfig, grad_check, train
+from .training import TrainConfig, grad_check, train
 
 VOCAB_FILE = "vocab.txt"
 INDEX_FILE = "index.bin"
@@ -508,15 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-layers", type=int, help="encoder layers (default 2)")
     p.add_argument("--n-heads", type=int, help="attention heads (default 4)")
     p.add_argument("--ffn-dim", type=int, help="feed-forward width (default 256)")
-    p.add_argument("--prefix-len", type=int, help="shared prefix length (default 16)")
+    p.add_argument(
+        "--prefix-len", type=int, help="shared prefix length, 0 for none (default 16)"
+    )
     p.add_argument("--max-len", type=int, help="input length cap (default 512)")
     p.add_argument("--init-seed", type=int, help="weight init seed (default 12)")
     p.add_argument(
-        "--mode",
-        choices=MODES,
-        help="training mode (default unified); single_scenario trains one scenario",
+        "--scenario", choices=SCENARIOS, help="train this scenario only (default: all three)"
     )
-    p.add_argument("--scenario", choices=SCENARIOS, help="scenario for --mode single_scenario")
     p.add_argument("--learning-rate", type=float, help="step size (default 3e-05)")
     p.add_argument("--epochs", type=int, help="epoch budget, 1..10 (default 10)")
     p.add_argument("--batch-size", type=int, help="examples per step (default 8)")

@@ -4,7 +4,8 @@ One shared bank of continuous prefix rows conditions a single encoder for
 three scoring scenarios. Each scenario sees the same rows in a different
 fixed order (SD identity, SDR odd-then-even, SR reversed), so scenario
 identity is carried by order alone and every row is trained by all three
-streams.
+streams. A ``prefix_len`` of 0 gives an empty bank and no prefix slots,
+the ablation without scenario conditioning.
 
 Input templates, prefix after [CLS]:
 
@@ -66,10 +67,14 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 4:
             raise ValueError("vocab_size must cover the special tokens")
+        for name in ("hidden_dim", "n_heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.hidden_dim % self.n_heads != 0:
             raise ValueError("hidden_dim must be divisible by n_heads")
-        if self.prefix_len < 1:
-            raise ValueError("prefix_len must be >= 1")
+        # 0 is the no-prefix ablation: an empty bank and no prefix slots
+        if self.prefix_len < 0:
+            raise ValueError("prefix_len must be >= 0")
         if self.prefix_len + 3 + 1 > self.max_len:
             raise ValueError("max_len too small for prefix plus specials plus content")
         if not self.mlp_dims:
@@ -78,6 +83,8 @@ class ModelConfig:
             )
         if self.mlp_dims[-1] != 2:
             raise ValueError("classifier head must end in 2 logits")
+        if min(self.mlp_dims) < 1:
+            raise ValueError(f"mlp_dims widths must be >= 1, got {list(self.mlp_dims)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -217,7 +224,6 @@ def assemble_input(
     reference: tuple[int, ...] | None,
     document: tuple[int, ...] | None,
     config: ModelConfig,
-    use_prefix: bool = True,
 ) -> InputLayout:
     """Build the scenario template, truncating in the fixed order: candidate
     capped at CANDIDATE_TOKEN_CAP, then document tail, then reference tail;
@@ -233,7 +239,7 @@ def assemble_input(
     if need_doc and document is None:
         raise ValueError(f"scenario {scenario} requires a document")
 
-    n_prefix = config.prefix_len if use_prefix else 0
+    n_prefix = config.prefix_len
     x = list(candidate[:CANDIDATE_TOKEN_CAP])
     d = list(document) if need_doc else []
     y = list(reference) if need_ref else []
@@ -326,18 +332,16 @@ def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return act, t
 
 
-def _gelu_grad(
-    x: np.ndarray, t: np.ndarray | None = None, upstream: np.ndarray | None = None
-) -> np.ndarray:
-    """Derivative of the tanh-form GELU, in the operation order of
+def _gelu_grad(x: np.ndarray, t: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Derivative of the tanh-form GELU at ``x``, whose inner tanh is ``t``,
+    in the operation order of
     ``0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x)``,
-    times ``upstream`` when given (the chain rule's product, taken while
-    each chunk is in cache)."""
-    x = np.ascontiguousarray(x)
-    t = _gelu_parts(x)[1] if t is None else np.ascontiguousarray(t)
+    times ``upstream`` (the chain rule's product, taken while each chunk is
+    in cache)."""
+    x, t = np.ascontiguousarray(x), np.ascontiguousarray(t)
     grad = np.empty(x.shape)
     xr, tr, gr = _rows(x), _rows(t), _rows(grad)
-    ur = None if upstream is None else _rows(np.ascontiguousarray(upstream))
+    ur = _rows(np.ascontiguousarray(upstream))
     xx = np.empty_like(xr[: _rows_per_chunk(xr.shape[1])])
     tail = np.empty_like(xx)
     for rows in _row_chunks(*xr.shape):
@@ -355,8 +359,7 @@ def _gelu_grad(
         np.add(tc, 1.0, out=gc)
         gc *= 0.5
         gc += tailc
-        if ur is not None:
-            gc *= ur[rows]
+        gc *= ur[rows]
     return grad
 
 
@@ -567,7 +570,6 @@ def score(
     candidate: tuple[int, ...],
     reference: tuple[int, ...] | None = None,
     document: tuple[int, ...] | None = None,
-    use_prefix: bool = True,
 ) -> ScoreOutput:
     """One example's score, computed in float32 on ``inference_params``.
 
@@ -576,7 +578,7 @@ def score(
     on each call, to the same bits. A non-finite forward raises
     ``FloatingPointError`` without printing numpy's warnings.
     """
-    layout = assemble_input(scenario, candidate, reference, document, config, use_prefix)
+    layout = assemble_input(scenario, candidate, reference, document, config)
     with np.errstate(all="ignore"):
         cache = forward_batch(inference_params(params), config, [layout])
     return ScoreOutput(score=float(cache.probs[0, 1]))
@@ -676,7 +678,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
                 )
             reserve(8 * math.prod(shape))  # before allocating: the config may be corrupt
             arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            # cast through a 1-D view: a zero in the shape makes memoryview refuse
+            if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != arr.nbytes:
                 raise ValueError(f"truncated checkpoint: {path}")
             params[name] = arr
     missing = sorted(set(shapes) - set(params))

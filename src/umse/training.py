@@ -6,10 +6,11 @@ permutation back into the shared base rows, which is the entire
 knowledge-sharing mechanism: an update on one scenario's batch moves rows
 every scenario reads.
 
-Three modes: ``unified`` (all scenario streams, permuted prefix),
-``joint_no_prefix`` (same streams, prefix slots removed and the bank left
-untouched), ``single_scenario`` (one stream). Streams are interleaved
-round-robin; the loss is the summed binary cross-entropy over each batch.
+``TrainConfig.scenario`` None trains all three scenario streams, one
+scenario trains that stream alone; the no-prefix ablation is a model with
+``prefix_len`` 0, whose empty bank gives its inputs no prefix slots.
+Streams are interleaved round-robin; the loss is the summed binary
+cross-entropy over each batch.
 
 A batch's gradient is the left-to-right sum, in example order, of each
 example's own gradient. ``train`` splits every batch by example over one
@@ -72,17 +73,13 @@ _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1.0e-8
 
-MODES = ("unified", "joint_no_prefix", "single_scenario")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 3.0e-5
     epochs: int = 10
     batch_size: int = 8
     seed: int = 12
-    mode: str = "unified"
-    scenario: str | None = None  # single_scenario only
+    scenario: str | None = None  # None trains every scenario's stream
     weight_decay: float = 0.01
     clip_norm: float | None = 1.0  # None switches clipping off
     holdout_fraction: float = 0.1
@@ -106,25 +103,17 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.epochs <= 10:
             raise ValueError("epochs must be in 1..10")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode}")
-        if self.mode == "single_scenario":
-            if self.scenario not in SCENARIOS:
-                raise ValueError("single_scenario mode needs scenario SR, SD or SDR")
-        elif self.scenario is not None:
-            raise ValueError("scenario is only valid with mode single_scenario")
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario: {self.scenario}")
         if not 0.0 <= self.holdout_fraction <= 0.5:
             raise ValueError("holdout_fraction must be in [0, 0.5]")
 
     def active_scenarios(self) -> tuple[str, ...]:
-        if self.mode == "single_scenario":
-            return (self.scenario,)
-        return SCENARIOS
+        return SCENARIOS if self.scenario is None else (self.scenario,)
 
 
 @dataclass
 class TrainReport:
-    mode: str
     epochs_run: int = 0
     total_steps: int = 0
     initial_loss: float | None = None
@@ -149,10 +138,8 @@ def cross_entropy_loss(scores, labels) -> float:
     return float(-(c * np.log(p) + (1.0 - c) * np.log(1.0 - p)).sum())
 
 
-def example_layout(
-    ex: ScenarioExample, config: ModelConfig, use_prefix: bool = True
-) -> InputLayout:
-    return assemble_input(ex.scenario, ex.candidate, ex.reference, ex.document, config, use_prefix)
+def example_layout(ex: ScenarioExample, config: ModelConfig) -> InputLayout:
+    return assemble_input(ex.scenario, ex.candidate, ex.reference, ex.document, config)
 
 
 def _ln_backward(dy, xhat, invstd, gamma, colsum, prefix: str):
@@ -178,9 +165,9 @@ class Gradients(dict):
     touched; every other row of its gradient is exactly zero. Clipping
     reads and rescales only those rows, ``_adamw_task`` gives the others
     the decay-only update (the p-only pass to rows no step has touched, whose
-    moments are still +0.0), and ``backward(..., out=grads)`` re-zeroes
-    only those rows when it reuses the arrays; none of this changes a bit
-    of the result. ``flat`` is the one buffer that every array views, in
+    moments are still +0.0), and ``_sum_examples`` re-zeroes only those
+    rows when it reuses the arrays; none of this changes a bit of the
+    result. ``flat`` is the one buffer that every array views, in
     the order of ``arrays``.
     """
 
@@ -306,7 +293,7 @@ def _example_gradients(
         dh_mid = dh.copy()
         outer(pre + "ffn.w2", lc.act, dh)
         colsum(pre + "ffn.b2", dh)
-        du = _gelu_grad(lc.u1, lc.gelu_t, upstream=back(dh, pre + "ffn.w2"))
+        du = _gelu_grad(lc.u1, lc.gelu_t, back(dh, pre + "ffn.w2"))
         outer(pre + "ffn.w1", lc.f_in, du)
         colsum(pre + "ffn.b1", du)
         dh_mid += _ln_backward(
@@ -394,26 +381,21 @@ def backward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     batch: list[ScenarioExample],
-    use_prefix: bool = True,
-    out: Gradients | None = None,
 ) -> tuple[float, Gradients]:
     """Summed cross-entropy loss of the batch and its exact gradient for
     every parameter (zero where a parameter is unused): the left-to-right
     sum, in example order, of the examples' own gradients, so the bits do
-    not depend on how the batch is split. ``out``, the gradients of an
-    earlier call, is overwritten and returned instead of allocating new
-    arrays."""
+    not depend on how the batch is split."""
     if not batch:
         raise ValueError("empty batch")
-    layouts = [example_layout(ex, config, use_prefix) for ex in batch]
+    layouts = [example_layout(ex, config) for ex in batch]
     labels = [ex.label for ex in batch]
     slots = _Slots(config, np.empty((len(batch), _slot_size(config))))
     _example_gradients(params, config, layouts, labels, slots.views)
-    if out is None:
-        shapes = param_shapes(config)
-        flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-        out = Gradients(param_views(flat, shapes), flat)
-    return _sum_examples(slots, layouts, labels, out), out
+    shapes = param_shapes(config)
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    grads = Gradients(param_views(flat, shapes), flat)
+    return _sum_examples(slots, layouts, labels, grads), grads
 
 
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
@@ -545,7 +527,6 @@ def _count_correct(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     examples: list[ScenarioExample],
-    use_prefix: bool,
 ) -> int:
     """Examples whose score falls on the label's side of 0.5, scored one at
     a time by ``score``, in float32; pass ``inference_params`` of the
@@ -555,7 +536,7 @@ def _count_correct(
     as long again on SD and SDR rows, in float32 as in float64."""
     correct = 0
     for ex in examples:
-        s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document, use_prefix)
+        s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document)
         correct += int((s.score >= 0.5) == bool(ex.label))
     return correct
 
@@ -601,13 +582,11 @@ class _TrainJob:
         self,
         config: ModelConfig,
         train_config: TrainConfig,
-        use_prefix: bool,
         train_sets: list[list[ScenarioExample]],
         holdout_sets: list[list[ScenarioExample]],
     ) -> None:
         self.config = config
         self.train_config = train_config
-        self.use_prefix = use_prefix
         self.train_sets = train_sets
         self.holdout_sets = holdout_sets
         shapes = param_shapes(config)
@@ -625,13 +604,6 @@ class _TrainJob:
         self.params, self.m, self.v = (param_views(f, shapes) for f in self.flat)
         self.grads = Gradients(param_views(flat[3 * n : 4 * n], shapes), flat[3 * n : 4 * n])
         self.slots = _Slots(config, flat[4 * n :].reshape(batch, slot))
-        # the flat ranges AdamW updates densely: all but the token table,
-        # and the prefix bank only when it is trained (param_shapes puts
-        # tok_emb, pos_emb and prefix_base first)
-        tok, pos, prefix = (math.prod(shapes[name]) for name in _EMBEDDINGS)
-        self.dense_ranges = (
-            [(tok, n)] if use_prefix else [(tok, tok + pos), (tok + pos + prefix, n)]
-        )
 
 
 def _gradient_task(job: _TrainJob, task: tuple[int, tuple[int, ...], int]) -> None:
@@ -639,7 +611,7 @@ def _gradient_task(job: _TrainJob, task: tuple[int, tuple[int, ...], int]) -> No
     from ``first`` on."""
     stream, indices, first = task
     examples = [job.train_sets[stream][i] for i in indices]
-    layouts = [example_layout(ex, job.config, job.use_prefix) for ex in examples]
+    layouts = [example_layout(ex, job.config) for ex in examples]
     slots = job.slots.views[first : first + len(examples)]
     _example_gradients(job.params, job.config, layouts, [ex.label for ex in examples], slots)
 
@@ -648,7 +620,7 @@ def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     """Part ``part`` of ``parts`` of AdamW step ``t``: a contiguous share of
     the token table's rows, with those of the first ``n_touched`` touched
     rows that fall in it, whose ``seen`` flags it then sets, and a share of
-    every dense range."""
+    the dense rest of the flat buffers, which follows the token table."""
     part, parts, t, n_touched = task
     lr = job.train_config.learning_rate
     bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
@@ -660,17 +632,16 @@ def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     _adamw_rows(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], rows, seen,
                 job.train_config, lr, bc1, bc2)
     seen[rows] = True
-    for start, stop in job.dense_ranges:
-        lo, hi = (start + (stop - start) * k // parts for k in (part, part + 1))
-        p, m, v, g = (f[lo:hi] for f in (*job.flat, job.grads.flat))
-        _adamw_update(p, m, v, g, job.train_config, lr, bc1, bc2)
+    start, stop = p.size, len(job.grads.flat)
+    lo, hi = (start + (stop - start) * k // parts for k in (part, part + 1))
+    p, m, v, g = (f[lo:hi] for f in (*job.flat, job.grads.flat))
+    _adamw_update(p, m, v, g, job.train_config, lr, bc1, bc2)
 
 
 def _eval_task(job: _TrainJob, task: tuple[int, int, int]) -> int:
     stream, start, stop = task
     return _count_correct(
-        inference_params(job.params), job.config, job.holdout_sets[stream][start:stop],
-        job.use_prefix,
+        inference_params(job.params), job.config, job.holdout_sets[stream][start:stop]
     )
 
 
@@ -678,7 +649,7 @@ def _train_step(pool, job: _TrainJob, stream: int, indices: np.ndarray, t: int) 
     """One optimizer step on a batch; returns its summed loss. Raises
     ``FloatingPointError`` on a non-finite forward or gradient."""
     examples = [job.train_sets[stream][i] for i in indices]
-    layouts = [example_layout(ex, job.config, job.use_prefix) for ex in examples]
+    layouts = [example_layout(ex, job.config) for ex in examples]
     slices = _balanced_slices([layout.length for layout in layouts], pool.workers)
     tasks = [(stream, tuple(int(i) for i in indices[a:b]), a) for a, b in slices]
     for _ in pool.map(_gradient_task, tasks):
@@ -723,9 +694,9 @@ def train(
     checkpoint_path: str | None = None,
     log_stream=None,
 ) -> tuple[dict[str, np.ndarray], TrainReport]:
-    """Runs the configured mode and returns the parameters of the epoch
-    with the best mean held-out accuracy. One JSON progress line per epoch
-    on ``log_stream`` (standard error by default).
+    """Trains on the configured streams and returns the parameters of the
+    epoch with the best mean held-out accuracy. One JSON progress line per
+    epoch on ``log_stream`` (standard error by default).
 
     Each batch is split by example over a ``worker_pool``, which then runs
     the AdamW update by row ranges and the holdout scoring. The gradient
@@ -751,11 +722,10 @@ def train(
         holdout_sets.append(data[:n_hold])
         train_sets.append(data[n_hold:])
 
-    use_prefix = config.mode != "joint_no_prefix"
-    job = _TrainJob(model_config, config, use_prefix, train_sets, holdout_sets)
+    job = _TrainJob(model_config, config, train_sets, holdout_sets)
     for name, arr in job.params.items():
         arr[...] = init_params[name]
-    report = TrainReport(mode=config.mode)
+    report = TrainReport()
     best_params = None
     best_mean_accuracy = -1.0
 
@@ -882,7 +852,7 @@ def grad_check(
         return out
 
     h = 1.0e-5
-    names = list(param_shapes(config))
+    names = [name for name, shape in param_shapes(config).items() if math.prod(shape)]
     worst = 0.0
     for _ in range(n_coords):
         name = names[int(rng.integers(len(names)))]

@@ -2,12 +2,14 @@
 reporting, output determinism, and help snapshots."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import multiprocessing
 import os
 import re
 import signal
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -351,7 +353,7 @@ class TestGendata:
 # every train flag that sets a ModelConfig or TrainConfig field
 _TRAIN_SETTINGS = {
     "hidden_dim", "n_layers", "n_heads", "ffn_dim", "prefix_len", "max_len", "init_seed",
-    "learning_rate", "epochs", "batch_size", "seed", "mode", "scenario", "weight_decay",
+    "learning_rate", "epochs", "batch_size", "seed", "scenario", "weight_decay",
     "clip_norm", "holdout_fraction", "target_accuracy",
 }
 
@@ -370,13 +372,13 @@ class TestTrainDefaults:
         _, out, _ = run_cli(["train", "--help"])
         text = " ".join(out.split("options:")[1].split())
         documented = re.findall(r"--([\w-]+) \S+ (?:(?!--).)*?\(default ([^)]+)\)", text)
-        assert len(documented) == 15
+        assert len(documented) == 14
         args = build_parser().parse_args(["train", "--corpus", "c", "--vocab", "v"])
         defaults = _train_defaults(args)
         for flag, value in documented:
             assert str(defaults[flag.replace("-", "_")]) == value, flag
 
-    @pytest.mark.parametrize("key", ["dropout", "beta1", "vocab_size", "corpus"])
+    @pytest.mark.parametrize("key", ["dropout", "beta1", "vocab_size", "corpus", "mode"])
     def test_config_keys_without_a_flag_rejected(self, ws, tmp_path, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 1}), encoding="utf-8")
@@ -401,11 +403,7 @@ class TestConfigValues:
             ("train", {"epochs": True}, "epochs must be int, got True"),
             ("train", {"learning_rate": False}, "learning_rate must be float, got False"),
             ("train", {"clip_norm": None}, "clip_norm must be float, got None"),
-            (
-                "train",
-                {"mode": "bogus"},
-                "mode must be one of unified, joint_no_prefix, single_scenario, got 'bogus'",
-            ),
+            ("train", {"scenario": "XY"}, "scenario must be one of SR, SD, SDR, got 'XY'"),
             ("score", {"scenario": "XY"}, "scenario must be one of SR, SD, SDR, got 'XY'"),
         ],
     )
@@ -434,7 +432,6 @@ class TestConfigValues:
                 "--corpus", ws["corpus"],
                 "--vocab", ws["vocab"],
                 "--document-matching", ws["data"] / "document_matching.jsonl",
-                "--mode", "single_scenario",
                 "--scenario", "SD",
                 *TINY_MODEL_FLAGS,
                 "--config", cfg,
@@ -446,7 +443,7 @@ class TestConfigValues:
 class TestTrain:
     def test_unified_report_lists_three_scenarios(self, ws):
         report = ws["train_report"]
-        assert report["mode"] == "unified"
+        assert "mode" not in report
         assert report["diverged"] is False
         for epoch_acc in report["holdout_accuracy"]:
             assert sorted(epoch_acc) == ["SD", "SDR", "SR"]
@@ -459,7 +456,6 @@ class TestTrain:
                 "--corpus", ws["corpus"],
                 "--vocab", ws["vocab"],
                 "--document-matching", ws["data"] / "document_matching.jsonl",
-                "--mode", "single_scenario",
                 "--scenario", "SD",
                 *TINY_MODEL_FLAGS,
                 "--epochs", "1",
@@ -467,8 +463,48 @@ class TestTrain:
             ]
         )
         report = json.loads(out)
-        assert report["mode"] == "single_scenario"
         assert sorted(report["holdout_accuracy"][0]) == ["SD"]
+
+    def test_mode_flag_is_refused(self, ws):
+        """``--scenario`` alone picks the streams and ``--prefix-len 0`` is
+        the no-prefix ablation; the old ``--mode`` flag is an argument
+        error."""
+        code, out, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--document-matching", ws["data"] / "document_matching.jsonl",
+                "--mode", "single_scenario",
+                "--scenario", "SD",
+            ]
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "argument error: unrecognized arguments: --mode single_scenario"
+        }
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--hidden-dim", "0"), ("--n-heads", "0"), ("--n-heads", "-2"), ("--ffn-dim", "0")],
+    )
+    def test_zero_width_is_json_error(self, ws, tmp_path, flag, value):
+        code, out, err = run_cli(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", ws["data"] / "summary_matching.jsonl",
+                "--document-matching", ws["data"] / "document_matching.jsonl",
+                "--checkpoint-out", tmp_path / "model.ckpt",
+                *TINY_MODEL_FLAGS,
+                flag, value,
+            ]
+        )
+        name = flag[2:].replace("-", "_")
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": f"{name} must be >= 1, got {value}"}) + "\n"
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_missing_stream_is_an_error(self, ws):
         code, _, err = run_cli(
@@ -656,17 +692,37 @@ class TestScore:
             f"has {n} tokens, but the checkpoint was trained on {n + (1 if change == 'shrink' else -1)}"
         )
 
-    def _scores(self, ws, *extra):
+    def _scores(self, ws, *extra, checkpoint=None):
         out = run_ok(
             [
                 "score",
                 "--inputs", ws["inputs"],
-                "--checkpoint", ws["checkpoint"],
+                "--checkpoint", checkpoint or ws["checkpoint"],
                 "--vocab", ws["vocab"],
                 *extra,
             ]
         )
         return [row["score"] for row in _score_lines(out)]
+
+    def _assert_model_score_bits(self, ws, checkpoint, flags):
+        """``umse score --scenario *flags`` gives each input row exactly
+        the score ``model.score`` computes from the loaded checkpoint."""
+        params, config = load_checkpoint(checkpoint)
+        vocab = Vocabulary.load(ws["vocab"])
+        got = self._scores(ws, "--scenario", *flags, checkpoint=checkpoint)
+        rows = [json.loads(line) for line in ws["inputs"].read_text("utf-8").splitlines()]
+        assert len(got) == len(rows) == 6
+        for row, value in zip(rows, got):
+            cand, ref, doc = (tuple(tokenize(row[f], vocab))
+                              for f in ("candidate", "reference", "document"))
+
+            def direct(sc):
+                return model.score(params, config, sc, cand, reference=ref, document=doc).score
+
+            if len(flags) > 1:
+                assert value == fuse(direct("SR"), direct("SD"), "arithmetic_mean")
+            else:
+                assert value == direct(flags[0])
 
     def test_fused_equals_mean_of_separate_runs(self, ws):
         sr = self._scores(ws, "--scenario", "SR")
@@ -706,23 +762,32 @@ class TestScore:
     def test_output_equals_model_score_on_float64_params(self, ws, flags):
         """``model.score`` casts float64 parameters exactly as the command
         casts its checkpoint, so the two agree to the bit."""
-        params, config = load_checkpoint(ws["checkpoint"])
-        assert params["tok_emb"].dtype == np.float64
-        vocab = Vocabulary.load(ws["vocab"])
-        got = self._scores(ws, "--scenario", *flags)
-        rows = [json.loads(line) for line in ws["inputs"].read_text("utf-8").splitlines()]
-        assert len(got) == len(rows) == 6
-        for row, value in zip(rows, got):
-            cand, ref, doc = (tuple(tokenize(row[f], vocab))
-                              for f in ("candidate", "reference", "document"))
+        assert load_checkpoint(ws["checkpoint"])[0]["tok_emb"].dtype == np.float64
+        self._assert_model_score_bits(ws, ws["checkpoint"], flags)
 
-            def direct(sc):
-                return model.score(params, config, sc, cand, reference=ref, document=doc).score
-
-            if len(flags) > 1:
-                assert value == fuse(direct("SR"), direct("SD"), "arithmetic_mean")
-            else:
-                assert value == direct(flags[0])
+    def test_prefix_len_zero_checkpoint_scores_as_model_score(self, ws, tmp_path):
+        """A checkpoint trained with ``--prefix-len 0`` records that it has
+        no prefix: ``umse score`` gives its inputs no prefix slots and
+        returns ``model.score``'s bits for every scenario."""
+        checkpoint = tmp_path / "no_prefix.ckpt"
+        run_ok(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--vocab", ws["vocab"],
+                "--summary-matching", ws["data"] / "summary_matching.jsonl",
+                "--document-matching", ws["data"] / "document_matching.jsonl",
+                "--checkpoint-out", checkpoint,
+                *TINY_MODEL_FLAGS, "--prefix-len", "0",
+                "--epochs", "1",
+                "--learning-rate", "0.001",
+            ]
+        )
+        params, config = load_checkpoint(checkpoint)
+        assert config.prefix_len == 0
+        assert params["prefix_base"].shape == (0, config.hidden_dim)
+        for flags in (("SR",), ("SD",), ("SDR",), ("SDR", "--fusion", "arithmetic_mean")):
+            self._assert_model_score_bits(ws, checkpoint, flags)
 
     def _score_broken_checkpoint(self, ws, tmp_path, name, value):
         params, config = load_checkpoint(ws["checkpoint"])
@@ -1098,6 +1163,27 @@ class TestCheckpointFile:
         path = self._saved(tmp_path, init_parameters(self.CONFIG))
         path.write_bytes(path.read_bytes() + b"\x00")
         assert self._error(ws, path).endswith("1 bytes after the last parameter")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ffn_dim": 0}, "ffn_dim must be >= 1, got 0"),
+            ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+            ({"n_heads": 0}, "n_heads must be >= 1, got 0"),
+            ({"mlp_dims": [0, 2, 2]}, "mlp_dims widths must be >= 1, got [0, 2, 2]"),
+        ],
+    )
+    def test_zero_width_config(self, ws, tmp_path, change, message):
+        """A config with a zero width, written with parameters of the
+        shapes it implies, some of them holding no element."""
+        raw = {**dataclasses.asdict(self.CONFIG), **change}
+        shapes = model.param_shapes(types.SimpleNamespace(**raw))
+        header = types.SimpleNamespace(to_json=lambda: json.dumps(raw, sort_keys=True))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({name: np.zeros(shape) for name, shape in shapes.items()}, header, path)
+        assert self._error(ws, path) == (
+            f"corrupt checkpoint {path}: unreadable config ({message})"
+        )
 
     @pytest.mark.parametrize("blob", [b"{", b"[]", b'{"vocab_size": 4}', b"\xff"])
     def test_unreadable_config(self, ws, tmp_path, blob):

@@ -77,6 +77,9 @@ class TestModelConfig:
     def test_prefix_must_leave_room(self):
         with pytest.raises(ValueError):
             small_config(prefix_len=61, max_len=64)
+        with pytest.raises(ValueError, match="prefix_len must be >= 0"):
+            small_config(prefix_len=-1)
+        assert param_shapes(small_config(prefix_len=0))["prefix_base"] == (0, 16)
 
     def test_dropout_not_supported(self):
         # dropout is no longer a field; a config written with it still
@@ -201,8 +204,8 @@ class TestAssembleInput:
             assemble_input("SR", (), _ids(8,), None, config)
 
     def test_no_prefix_variant(self):
-        config = small_config()
-        layout = assemble_input("SR", _ids(5, 6), _ids(8,), None, config, use_prefix=False)
+        config = small_config(prefix_len=0)
+        layout = assemble_input("SR", _ids(5, 6), _ids(8,), None, config)
         assert layout.n_prefix == 0
         assert layout.ids == (CLS_ID, 5, 6, SEP_ID, 8)
 
@@ -538,8 +541,9 @@ class TestKernelsMatchDenseExpressions:
         assert np.array_equal(act, expected_act)
         assert np.array_equal(t, expected_t)
         expected_grad = oracles.gelu_grad_dense(x, expected_t)
-        assert np.array_equal(_gelu_grad(x, t), expected_grad)
-        assert np.array_equal(_gelu_grad(x), oracles.gelu_grad_dense(x))
+        assert np.array_equal(_gelu_grad(x, t, upstream=np.ones_like(x)), expected_grad)
+        upstream = np.random.default_rng(4).normal(size=shape)
+        assert np.array_equal(_gelu_grad(x, t, upstream), expected_grad * upstream)
 
 
 class TestFusion:

@@ -136,10 +136,13 @@ class TestBackward:
             assert float(np.abs(grads["prefix_base"]).sum()) > 0.0
 
     def test_no_prefix_batch_leaves_prefix_gradient_zero(self):
-        config = tiny_config()
+        """A prefix_len 0 model has an empty bank, so its gradient is empty
+        too, while every other parameter still gets one."""
+        config = dataclasses.replace(tiny_config(), prefix_len=0)
         params = init_parameters(config)
-        _, grads = backward(params, config, _sr_batch(config), use_prefix=False)
-        assert np.all(grads["prefix_base"] == 0.0)
+        _, grads = backward(params, config, _sr_batch(config))
+        assert grads["prefix_base"].shape == (0, config.hidden_dim)
+        assert float(np.abs(grads["head.w1"]).sum()) > 0.0
 
     def test_empty_batch_rejected(self):
         config = tiny_config()
@@ -147,12 +150,18 @@ class TestBackward:
             backward(init_parameters(config), config, [])
 
     def test_reused_buffers_give_the_fresh_gradient(self):
+        """``_sum_examples`` overwrites a ``Gradients`` it reuses, as each
+        training step does, re-zeroing only the token rows it touched."""
         config = tiny_config()
         params = init_parameters(config)
         first = [ScenarioExample("SR", 1, (5, 6, 7, 8), reference=(9, 10))]
         second = [ScenarioExample("SD", 0, (11, 12), document=(13, 14, 15))]
         _, reused = backward(params, config, first)
-        _, reused = backward(params, config, second, out=reused)
+        layouts = [training.example_layout(ex, config) for ex in second]
+        labels = [ex.label for ex in second]
+        slots = training._Slots(config, np.empty((1, training._slot_size(config))))
+        training._example_gradients(params, config, layouts, labels, slots.views)
+        training._sum_examples(slots, layouts, labels, reused)
         _, fresh = backward(params, config, second)
         for name in fresh:
             assert np.array_equal(reused[name], fresh[name])
@@ -193,13 +202,14 @@ class TestBackward:
             assert np.allclose(packed[name], summed[name], rtol=0, atol=1e-12), name
         assert float(np.abs(packed["prefix_base"]).sum()) > 0.0
 
-    @pytest.mark.parametrize("use_prefix", [True, False])
-    def test_gradient_is_the_in_order_sum_of_its_examples_exactly(self, use_prefix):
+    @pytest.mark.parametrize("with_prefix", [True, False])
+    def test_gradient_is_the_in_order_sum_of_its_examples_exactly(self, with_prefix):
         """Every parameter's batch gradient is the left-to-right sum, from
         zero, of the examples' own gradients, bit for bit: with tokens
         repeated within and across examples, and whatever split the
-        examples would get over workers."""
-        config = tiny_config()
+        examples would get over workers; with a prefix bank and with
+        none (prefix_len 0)."""
+        config = dataclasses.replace(tiny_config(), prefix_len=4 if with_prefix else 0)
         rng = np.random.default_rng(21)
         params = {
             name: p + rng.normal(scale=0.05, size=p.shape)
@@ -217,10 +227,10 @@ class TestBackward:
             )
             for j, sc in enumerate(("SR", "SDR", "SD", "SDR", "SR", "SD", "SR"))
         ]
-        _, packed = backward(params, config, batch, use_prefix)
+        _, packed = backward(params, config, batch)
         summed = {name: np.zeros_like(p) for name, p in params.items()}
         for ex in batch:
-            _, grads = backward(params, config, [ex], use_prefix)
+            _, grads = backward(params, config, [ex])
             for name in summed:
                 summed[name] += grads[name]
         for name in summed:
@@ -254,6 +264,10 @@ class TestGradCheck:
     def test_deterministic_under_seed(self):
         assert grad_check(n_coords=25, seed=5) == grad_check(n_coords=25, seed=5)
 
+    def test_no_prefix_model_matches_finite_differences(self):
+        config = dataclasses.replace(tiny_config(), prefix_len=0)
+        assert grad_check(config, n_coords=50) < 1e-4
+
     def test_finite_differences_exact_on_linear_map(self):
         # same h as grad_check; a purely linear loss has no truncation term
         rng = np.random.default_rng(0)
@@ -276,10 +290,11 @@ def _flat_gradients(arrays):
     return Gradients(param_views(flat, {name: g.shape for name, g in arrays.items()}), flat)
 
 
-def _adamw_job(train_config, use_prefix=True, vocab_size=48):
+def _adamw_job(train_config, prefix_len=4, vocab_size=48):
     """A training job without examples: only its parameter, moment and
     gradient buffers are used."""
-    return _TrainJob(tiny_config(vocab_size), train_config, use_prefix, [], [])
+    config = dataclasses.replace(tiny_config(vocab_size), prefix_len=prefix_len)
+    return _TrainJob(config, train_config, [], [])
 
 
 def _run_adamw(job, parts, t, rows):
@@ -363,8 +378,8 @@ class TestOptimizer:
         decayed = 2.0 * (1.0 - 0.01 * config.weight_decay)
         assert job.flat[0] == pytest.approx(decayed, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("use_prefix", [True, False])
-    def test_adamw_matches_dense_expression_over_steps(self, use_prefix):
+    @pytest.mark.parametrize("with_prefix", [True, False])
+    def test_adamw_matches_dense_expression_over_steps(self, with_prefix):
         """Eight steps of the row-split update, over 1, 2 and 3 parts, equal
         the dense AdamW expression bit for bit, signs of zero included, on
         every trained parameter and its moments. The token table gets a
@@ -373,18 +388,18 @@ class TestOptimizer:
         touched at a later step, never touched, touched with a gradient of
         exactly zero, and from step 7 all seen. Its chunks take each of the
         three decay-only paths, and each third of the table spans more than
-        one chunk. Without the prefix the bank, though given a gradient,
-        and its moments stay as they were."""
+        one chunk. Without a prefix (prefix_len 0) the bank is empty and
+        the dense update starts right after the token table."""
         # a batch this large can touch every row of the table
         config = TrainConfig(learning_rate=1.0e-3, batch_size=300)
         vocab = 13000
         for parts in (1, 2, 3):
             rng = np.random.default_rng(4)
-            job = _adamw_job(config, use_prefix, vocab)
+            job = _adamw_job(config, 4 if with_prefix else 0, vocab)
+            assert job.params["prefix_base"].size == (4 * 16 if with_prefix else 0)
             job.flat[0][:] = rng.uniform(-0.1, 0.1, size=job.flat[0].size)
             job.params["tok_emb"][[9500, 11000, 12999]] = -0.0
-            bank = job.params["prefix_base"].copy()
-            trained = [name for name in job.params if use_prefix or name != "prefix_base"]
+            trained = list(job.params)
             expected = {name: job.params[name].copy() for name in trained}
             m = {name: np.zeros_like(p) for name, p in expected.items()}
             v = {name: np.zeros_like(p) for name, p in expected.items()}
@@ -401,10 +416,6 @@ class TestOptimizer:
                     assert job.params[name].tobytes() == expected[name].tobytes(), (parts, t, name)
                     assert job.m[name].tobytes() == m[name].tobytes(), (parts, t, name)
                     assert job.v[name].tobytes() == v[name].tobytes(), (parts, t, name)
-                if not use_prefix:
-                    assert np.array_equal(job.params["prefix_base"], bank)
-                    assert not job.m["prefix_base"].any()
-                    assert not job.v["prefix_base"].any()
             assert paths == {"p-only", "gathered", "in place"}, parts
 
     def test_clip_of_row_sparse_gradients_matches_dense(self):
@@ -452,7 +463,9 @@ class TestTrainConfig:
         assert config.learning_rate == pytest.approx(3.0e-5)
         assert config.batch_size == 8
         assert config.seed == 12
-        assert config.mode == "unified"
+        assert config.scenario is None
+        assert config.active_scenarios() == ("SR", "SD", "SDR")
+        assert len(dataclasses.fields(TrainConfig)) == 9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -461,12 +474,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=11)
-        with pytest.raises(ValueError):
-            TrainConfig(mode="other")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scenario: XY"):
+            TrainConfig(scenario="XY")
+        with pytest.raises(TypeError):
             TrainConfig(mode="single_scenario")
-        with pytest.raises(ValueError):
-            TrainConfig(scenario="SR")
+        assert TrainConfig(scenario="SR").active_scenarios() == ("SR",)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -500,7 +512,7 @@ class TestTrain:
         config, datasets = streams
         ten = {"SR": datasets["SR"][:10]}
         tconfig = TrainConfig(
-            epochs=1, mode="single_scenario", scenario="SR", holdout_fraction=0.0
+            epochs=1, scenario="SR", holdout_fraction=0.0
         )
         _, report = train(
             init_parameters(config), config, ten, tconfig, log_stream=io.StringIO()
@@ -550,19 +562,23 @@ class TestTrain:
         )
         assert report.epoch_losses[0] < report.initial_loss
 
-    def test_joint_no_prefix_never_touches_prefix_bank(self, streams):
+    def test_prefix_len_zero_trains_without_a_bank(self, streams):
+        """The no-prefix ablation is a prefix_len 0 model: its bank is
+        empty, its inputs have no prefix slots, and all three streams
+        train it."""
         config, datasets = streams
+        config = dataclasses.replace(config, prefix_len=0)
         init = init_parameters(config)
-        frozen = init["prefix_base"].copy()
-        tconfig = TrainConfig(learning_rate=1e-3, epochs=1, mode="joint_no_prefix")
-        params, _ = train(init, config, datasets, tconfig, log_stream=io.StringIO())
-        assert np.array_equal(params["prefix_base"], frozen)
+        tconfig = TrainConfig(learning_rate=1e-3, epochs=1, holdout_fraction=0.2)
+        params, report = train(init, config, datasets, tconfig, log_stream=io.StringIO())
+        assert params["prefix_base"].shape == (0, config.hidden_dim)
         assert not np.array_equal(params["tok_emb"], init["tok_emb"])
+        assert set(report.holdout_accuracy[0]) == {"SR", "SD", "SDR"}
 
     def test_single_scenario_trains_one_stream(self, streams):
         config, datasets = streams
         tconfig = TrainConfig(
-            epochs=1, mode="single_scenario", scenario="SD", holdout_fraction=0.2
+            epochs=1, scenario="SD", holdout_fraction=0.2
         )
         _, report = train(
             init_parameters(config), config, datasets, tconfig, log_stream=io.StringIO()
@@ -582,7 +598,7 @@ class TestTrain:
             ).score
 
         tconfig = TrainConfig(
-            learning_rate=1e-3, epochs=1, mode="single_scenario", scenario="SR"
+            learning_rate=1e-3, epochs=1, scenario="SR"
         )
         params, _ = train(init, config, datasets, tconfig, log_stream=io.StringIO())
         assert not np.array_equal(params["prefix_base"], init["prefix_base"])
@@ -665,12 +681,12 @@ class TestTrain:
             init_parameters(config), config, datasets, tconfig, log_stream=io.StringIO()
         )
         row = json.loads(report.to_json())
-        for key in ("mode", "epoch_losses", "holdout_accuracy", "best_epoch", "wall_clock_seconds"):
+        for key in ("epoch_losses", "holdout_accuracy", "best_epoch", "wall_clock_seconds"):
             assert key in row
+        assert "mode" not in row
 
     def test_report_json_bytes(self):
         report = TrainReport(
-            mode="unified",
             epochs_run=2,
             total_steps=14,
             initial_loss=0.6931471805599453,
@@ -684,13 +700,13 @@ class TestTrain:
             '{"best_epoch": 2, "checkpoint_path": "m.ckpt", "diverged": false, '
             '"epoch_losses": [0.5, 0.25], "epochs_run": 2, "holdout_accuracy": '
             '[{"SD": 0.75, "SDR": 1.0, "SR": 0.5}, {"SD": 1.0, "SDR": 1.0, "SR": 1.0}], '
-            '"initial_loss": 0.6931471805599453, "mode": "unified", "total_steps": 14, '
+            '"initial_loss": 0.6931471805599453, "total_steps": 14, '
             '"wall_clock_seconds": 1.25}'
         )
-        assert TrainReport(mode="joint_no_prefix", diverged=True).to_json() == (
+        assert TrainReport(diverged=True).to_json() == (
             '{"best_epoch": null, "checkpoint_path": null, "diverged": true, '
             '"epoch_losses": [], "epochs_run": 0, "holdout_accuracy": [], '
-            '"initial_loss": null, "mode": "joint_no_prefix", "total_steps": 0, '
+            '"initial_loss": null, "total_steps": 0, '
             '"wall_clock_seconds": 0.0}'
         )
 
@@ -700,13 +716,13 @@ class TestEvaluateAccuracy:
         config, datasets = streams
         params = init_parameters(config)
         examples = datasets["SR"][:10]
-        got = _count_correct(params, config, examples, use_prefix=True)
+        got = _count_correct(params, config, examples)
         manual = 0
         for ex in examples:
             s = score(params, config, "SR", ex.candidate, reference=ex.reference).score
             manual += int((s >= 0.5) == bool(ex.label))
         assert got == manual
-        assert _count_correct(inference_params(params), config, examples, True) == got
+        assert _count_correct(inference_params(params), config, examples) == got
 
     @pytest.mark.parametrize("gain", [3e38, 1e39])
     def test_float32_overflow_of_the_holdout_is_divergence(self, streams, gain):
