@@ -20,8 +20,9 @@ and the positive-class probability is the score.
 
 The forward pass computes in the dtype of the parameters it is given and
 records the intermediates needed for the manual reverse pass (see the
-training module). Training keeps its parameters, gradients and optimizer
-state in float64; scoring runs the same forward on a float32 copy of them
+training module). Training keeps its parameters, reduced gradient and
+optimizer state in float64 and runs each step's forward and backward on a
+float32 image of them; scoring runs the same forward on a float32 copy
 (``inference_params``). ``worker_pool`` is the fork pool that scoring and
 training spread their work over.
 """
@@ -339,7 +340,7 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, upstream: np.ndarray) -> np.ndarray
     times ``upstream`` (the chain rule's product, taken while each chunk is
     in cache)."""
     x, t = np.ascontiguousarray(x), np.ascontiguousarray(t)
-    grad = np.empty(x.shape)
+    grad = np.empty_like(x)
     xr, tr, gr = _rows(x), _rows(t), _rows(grad)
     ur = _rows(np.ascontiguousarray(upstream))
     xx = np.empty_like(xr[: _rows_per_chunk(xr.shape[1])])
@@ -454,7 +455,9 @@ def forward_batch(
     which rounds differently, which is why the head is never batched).
 
     Every array the pass makes, the cache's included, has the dtype of
-    ``params``: float64 for training, float32 for scoring (see ``score``).
+    ``params``: float32 for a training step and for scoring (see
+    ``score``), float64 for the reference ``backward`` and its gradient
+    check.
     A non-finite encoding or logit raises ``FloatingPointError``.
     """
     if not layouts:

@@ -18,6 +18,13 @@ forked worker per usable core, the workers sharing parameters, moments and
 gradients through one shared mapping, and the sum makes the result the
 same bits for any number of workers.
 
+A training step computes in float32 and keeps its master copy in float64,
+as in mixed-precision training (Micikevicius et al. 2018): the workers run
+the forward and backward on a float32 image of the parameters into float32
+gradient slots, while the parameters, the summed and clipped gradient, the
+AdamW moments and the checkpoint stay float64. ``backward`` runs the same
+code on float64 parameters and is the reference ``grad_check`` checks.
+
 AdamW has one path: ``_adamw_task`` updates a contiguous share of the job's
 flat parameter and moment buffers in place, the token table row-sparse and
 every other trained range densely, one share per worker. Each element's
@@ -56,7 +63,6 @@ from .model import (
     _rows_per_chunk,
     assemble_input,
     forward_batch,
-    inference_params,
     init_parameters,
     param_shapes,
     param_views,
@@ -257,7 +263,7 @@ def _example_gradients(
 
     # softmax cross-entropy collapses to probs minus one-hot targets; the
     # head runs on one pooled row at a time, as in the forward
-    dpooled = np.empty((n, z))
+    dpooled = np.empty((n, z), cache.pooled.dtype)
     for i, slot in enumerate(slots):
         slot["probs"][...] = cache.probs[i]
         dlogits = cache.probs[i : i + 1].copy()
@@ -285,7 +291,7 @@ def _example_gradients(
         "final_ln.",
     )
 
-    scale = 1.0 / np.sqrt(z // heads)
+    scale = 1.0 / math.sqrt(z // heads)  # a Python float keeps float32 float32
     for l in reversed(range(config.n_layers)):
         lc = cache.layers[l]
         pre = f"layer{l}."
@@ -354,7 +360,8 @@ def _sum_examples(
     prefix.fill(0.0)
     touched = []
     for slot, layout in zip(slots.views, layouts):
-        d = slot["emb_rows"][: layout.length]
+        # exact; np.add.at is several times slower on mixed dtypes
+        d = slot["emb_rows"][: layout.length].astype(np.float64, copy=False)
         pos[: layout.length] += d
         if layout.n_prefix:
             perm = prefix_permutation(layout.n_prefix, layout.scenario)
@@ -529,11 +536,12 @@ def _count_correct(
     examples: list[ScenarioExample],
 ) -> int:
     """Examples whose score falls on the label's side of 0.5, scored one at
-    a time by ``score``, in float32; pass ``inference_params`` of the
-    weights to cast them once. The packed forward gives the same bits in
-    any batch, and a batch of one is the fastest way through it: one
-    forward over eight rows took as long on short SR rows and up to half
-    as long again on SD and SDR rows, in float32 as in float64."""
+    a time by ``score``, in float32; float32 weights, such as the training
+    job's ``params32``, are used without a cast. The packed forward gives
+    the same bits in any batch, and a batch of one is the fastest way
+    through it: one forward over eight rows took as long on short SR rows
+    and up to half as long again on SD and SDR rows, in float32 as in
+    float64."""
     correct = 0
     for ex in examples:
         s = score(params, config, ex.scenario, ex.candidate, ex.reference, ex.document)
@@ -569,13 +577,18 @@ def _balanced_slices(weights: list[int], parts: int) -> list[tuple[int, int]]:
 class _TrainJob:
     """What the training workers share with the process that drives them.
 
-    The parameters, the AdamW moments ``m`` and ``v``, the reduced gradient
-    (each one flat buffer with per-name views in ``param_shapes`` order),
-    one gradient slot per example of a batch, the touched rows of the
-    token table and its ``seen`` flags, set on every row that some step
-    has touched, live in one anonymous shared mapping. It is made before
-    the pool forks, so every worker reads and writes the same memory and a
-    step sends a worker only the stream and example indices of its slice.
+    One anonymous shared mapping holds, in float64, the parameters, the
+    AdamW moments ``m`` and ``v`` and the reduced gradient (each one flat
+    buffer with per-name views in ``param_shapes`` order); the touched rows
+    of the token table; in float32, ``params32``, the image of the
+    parameters that the forward and backward run on, and one gradient slot
+    per example of a batch; and the token table's ``seen`` flags, set on
+    every row that some step has touched. It is made before the pool
+    forks, so every worker reads and writes the same memory and a step
+    sends a worker only the stream and example indices of its slice.
+
+    Whatever rewrites a range of the parameters rewrites the same range of
+    the image through ``write_params32``, so the image is never stale.
     """
 
     def __init__(
@@ -592,35 +605,57 @@ class _TrainJob:
         shapes = param_shapes(config)
         n = sum(math.prod(shape) for shape in shapes.values())
         batch, slot = train_config.batch_size, _slot_size(config)
-        floats = 4 * n + batch * slot
         n_touched = batch * config.max_len
-        region = mmap.mmap(-1, 8 * (floats + n_touched) + config.vocab_size)
-        flat = np.frombuffer(region, dtype=np.float64, count=floats)
-        self.touched = np.frombuffer(region, dtype=np.int64, count=n_touched, offset=8 * floats)
-        self.seen = np.frombuffer(
-            region, dtype=np.bool_, count=config.vocab_size, offset=8 * (floats + n_touched)
-        )
+        singles = n + batch * slot
+        region = mmap.mmap(-1, 8 * (4 * n + n_touched) + 4 * singles + config.vocab_size)
+        offset = 0
+
+        def take(dtype, count: int) -> np.ndarray:
+            nonlocal offset
+            arr = np.frombuffer(region, dtype=dtype, count=count, offset=offset)
+            offset += arr.nbytes
+            return arr
+
+        flat = take(np.float64, 4 * n)
+        self.touched = take(np.int64, n_touched)
+        flat32 = take(np.float32, singles)
+        self.seen = take(np.bool_, config.vocab_size)
         self.flat = [flat[i * n : (i + 1) * n] for i in range(3)]  # params, m, v
         self.params, self.m, self.v = (param_views(f, shapes) for f in self.flat)
         self.grads = Gradients(param_views(flat[3 * n : 4 * n], shapes), flat[3 * n : 4 * n])
-        self.slots = _Slots(config, flat[4 * n :].reshape(batch, slot))
+        self.flat32 = flat32[:n]
+        self.params32 = param_views(self.flat32, shapes)
+        self.slots = _Slots(config, flat32[n:].reshape(batch, slot))
+
+    def write_params32(self, lo: int, hi: int) -> None:
+        """Casts elements ``lo:hi`` of the flat parameters into the float32
+        image. A weight outside the float32 range becomes an infinity there,
+        which the forward reports as ``FloatingPointError``."""
+        with np.errstate(over="ignore"):
+            self.flat32[lo:hi] = self.flat[0][lo:hi]
 
 
 def _gradient_task(job: _TrainJob, task: tuple[int, tuple[int, ...], int]) -> None:
     """Examples ``indices`` of training stream ``stream`` into the slots
-    from ``first`` on."""
+    from ``first`` on, computed in float32 on ``params32``. A non-finite
+    forward raises ``FloatingPointError`` and a non-finite gradient fails
+    the sum's check, so numpy's warnings are not printed."""
     stream, indices, first = task
     examples = [job.train_sets[stream][i] for i in indices]
     layouts = [example_layout(ex, job.config) for ex in examples]
     slots = job.slots.views[first : first + len(examples)]
-    _example_gradients(job.params, job.config, layouts, [ex.label for ex in examples], slots)
+    labels = [ex.label for ex in examples]
+    with np.errstate(all="ignore"):
+        _example_gradients(job.params32, job.config, layouts, labels, slots)
 
 
 def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     """Part ``part`` of ``parts`` of AdamW step ``t``: a contiguous share of
     the token table's rows, with those of the first ``n_touched`` touched
     rows that fall in it, whose ``seen`` flags it then sets, and a share of
-    the dense rest of the flat buffers, which follows the token table."""
+    the dense rest of the flat buffers, which follows the token table. Each
+    share is then cast into the float32 image: every token row decays at
+    every step, so the whole row range is."""
     part, parts, t, n_touched = task
     lr = job.train_config.learning_rate
     bc1, bc2 = 1.0 - _BETA1**t, 1.0 - _BETA2**t
@@ -632,17 +667,17 @@ def _adamw_task(job: _TrainJob, task: tuple[int, int, int, int]) -> None:
     _adamw_rows(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], rows, seen,
                 job.train_config, lr, bc1, bc2)
     seen[rows] = True
+    job.write_params32(lo * p.shape[1], hi * p.shape[1])
     start, stop = p.size, len(job.grads.flat)
     lo, hi = (start + (stop - start) * k // parts for k in (part, part + 1))
     p, m, v, g = (f[lo:hi] for f in (*job.flat, job.grads.flat))
     _adamw_update(p, m, v, g, job.train_config, lr, bc1, bc2)
+    job.write_params32(lo, hi)
 
 
 def _eval_task(job: _TrainJob, task: tuple[int, int, int]) -> int:
     stream, start, stop = task
-    return _count_correct(
-        inference_params(job.params), job.config, job.holdout_sets[stream][start:stop]
-    )
+    return _count_correct(job.params32, job.config, job.holdout_sets[stream][start:stop])
 
 
 def _train_step(pool, job: _TrainJob, stream: int, indices: np.ndarray, t: int) -> float:
@@ -725,6 +760,7 @@ def train(
     job = _TrainJob(model_config, config, train_sets, holdout_sets)
     for name, arr in job.params.items():
         arr[...] = init_params[name]
+    job.write_params32(0, len(job.flat32))
     report = TrainReport()
     best_params = None
     best_mean_accuracy = -1.0

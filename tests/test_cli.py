@@ -1071,6 +1071,31 @@ class TestParallelTrain:
         assert logs[0] == logs[1] == logs[2]
         assert reports[0]["total_steps"] == 2 * 9  # three streams of 22 in batches of 8
 
+    @pytest.mark.parametrize("gain", [3e38, 1e39])
+    def test_float32_overflow_is_one_json_line(self, ws, monkeypatch, tmp_path, gain):
+        """Weights that a float32 training step cannot carry end ``umse
+        train`` at its first step, on one worker and on two: exit 1, the
+        report as the one line of output, no numpy warning, no checkpoint."""
+
+        def overflowing(config):
+            params = init_parameters(config)
+            params["final_ln.gamma"][:] = gain
+            return params
+
+        monkeypatch.setattr(cli, "init_parameters", overflowing)
+        for workers, started in ((1, []), (2, [2])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # in the workers too, which fork here
+                code, out, err, checkpoint, pools = self._train(
+                    ws, monkeypatch, tmp_path, workers
+                )
+            assert (code, err, pools) == (1, "", started)
+            assert len(out.splitlines()) == 1
+            report = json.loads(out)
+            assert report["diverged"] is True
+            assert (report["epochs_run"], report["total_steps"]) == (0, 0)
+            assert not checkpoint.exists()
+
     def test_divergence_leaves_no_child(self, ws, monkeypatch, tmp_path):
         with np.errstate(all="ignore"):
             code, out, err, checkpoint, pools = self._train(

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from umse.corpus import CLS_ID, SEP_ID
+from umse.datagen import ScenarioExample
 from umse.model import (
     _CHUNK,
     CHECKPOINT_MAGIC,
@@ -31,6 +32,7 @@ from umse.model import (
     save_checkpoint,
     score,
 )
+from umse.training import backward
 
 
 def small_config(**overrides) -> ModelConfig:
@@ -403,10 +405,11 @@ def _cache_arrays(cache) -> list[np.ndarray]:
     return out
 
 
-def _small_perturbed_batch():
-    """A 16-wide encoder with perturbed parameters and two rows of each
-    scenario. Its products are small enough that the BLAS runs them on one
-    thread, so their bits do not depend on the thread count."""
+def _small_perturbed_examples():
+    """A 16-wide encoder with perturbed parameters and two examples of each
+    scenario, labelled 0 and 1 in turn. Its products are small enough that
+    the BLAS runs them on one thread, so their bits do not depend on the
+    thread count."""
     config = small_config(vocab_size=500, init_seed=5)
     params = init_parameters(config)
     rng = np.random.default_rng(5)
@@ -416,9 +419,23 @@ def _small_perturbed_batch():
     def draw(lo, hi):
         return tuple(int(v) for v in rng.integers(4, 500, size=int(rng.integers(lo, hi))))
 
+    examples = []
+    for i, sc in enumerate(("SR", "SD", "SDR") * 2):
+        candidate, reference, document = draw(1, 20), draw(1, 10), draw(1, 30)
+        examples.append(ScenarioExample(
+            sc, i % 2, candidate,
+            reference=reference if sc in ("SR", "SDR") else None,
+            document=document if sc in ("SD", "SDR") else None,
+        ))
+    return config, params, examples
+
+
+def _small_perturbed_batch():
+    """``_small_perturbed_examples`` as input layouts."""
+    config, params, examples = _small_perturbed_examples()
     layouts = [
-        assemble_input(sc, draw(1, 20), draw(1, 10), draw(1, 30), config)
-        for sc in ("SR", "SD", "SDR") * 2
+        assemble_input(ex.scenario, ex.candidate, ex.reference, ex.document, config)
+        for ex in examples
     ]
     return config, params, layouts
 
@@ -427,6 +444,12 @@ def _small_perturbed_batch():
 # ForwardCache of ``_small_perturbed_batch``, taken from the float64-only
 # forward that preceded the dtype-generic one
 FLOAT64_CACHE_SHA256 = "c55077a7bd0fbdc480ce57864da7a17670d6d1768c8879a0e01f4213d956e2ed"
+
+# the summed loss, and sha256 over the dtype name and bytes of every
+# gradient array, in ``param_shapes`` order, that ``backward`` returns for
+# ``_small_perturbed_examples``; taken from the float64-only training step
+FLOAT64_BACKWARD_LOSS = 3.875034375906192
+FLOAT64_BACKWARD_SHA256 = "df496ff19131bf12f6b14ec88da4a1baafda4d4c42bbe38b2f56a89a667cf2a3"
 
 
 class TestDtype:
@@ -452,6 +475,18 @@ class TestDtype:
             digest.update(str(arr.dtype).encode())
             digest.update(arr.tobytes())
         assert digest.hexdigest() == FLOAT64_CACHE_SHA256
+
+    def test_float64_backward_keeps_its_bits(self):
+        """``backward`` and so ``grad_check`` stay the float64 reference
+        that the float32 training step is checked against."""
+        config, params, examples = _small_perturbed_examples()
+        loss, grads = backward(params, config, examples)
+        digest = hashlib.sha256()
+        for name, arr in grads.items():
+            assert arr.dtype == np.float64
+            digest.update(str(arr.dtype).encode())
+            digest.update(arr.tobytes())
+        assert (loss, digest.hexdigest()) == (FLOAT64_BACKWARD_LOSS, FLOAT64_BACKWARD_SHA256)
 
     def test_float32_probabilities_near_float64(self):
         config, params, layouts = _small_perturbed_batch()
