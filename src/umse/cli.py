@@ -18,6 +18,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import math
 import platform
 import sys
 import time
@@ -280,12 +281,9 @@ class _ScoreJob:
     rows: list[tuple[int, dict]]
 
 
-def _score_chunk(
-    job: _ScoreJob, bounds: tuple[int, int]
-) -> tuple[list[float], Exception | None]:
+def _score_chunk(job: _ScoreJob, bounds: tuple[int, int]) -> list[float]:
     """Tokenize and score the rows ``start:stop`` that ``bounds`` names, in
-    order. A failing row ends the chunk: the values before it are returned
-    with its error, which names the row's input line."""
+    order. A failing row raises an error that names its input line."""
     need_ref = job.scenario in ("SR", "SDR")
     need_doc = job.scenario in ("SD", "SDR")
     # a document or reference usually serves several candidates in a row
@@ -294,48 +292,37 @@ def _score_chunk(
     start, stop = bounds
     for lineno, row in job.rows[start:stop]:
         where = f"input line {lineno}"
+        cand = tuple(tokenize(text_field(row, "candidate", where), job.vocab))
+        ref = ids_of(text_field(row, "reference", where)) if need_ref else None
+        doc = ids_of(text_field(row, "document", where)) if need_doc else None
         try:
-            cand = tuple(tokenize(text_field(row, "candidate", where), job.vocab))
-            ref = ids_of(text_field(row, "reference", where)) if need_ref else None
-            doc = ids_of(text_field(row, "document", where)) if need_doc else None
-            try:
-                if job.fusion is not None:
-                    s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
-                    s_sd = score(job.params, job.config, "SD", cand, document=doc).score
-                    values.append(fuse(s_sr, s_sd, job.fusion))
-                else:
-                    values.append(
-                        score(
-                            job.params, job.config, job.scenario, cand, reference=ref,
-                            document=doc,
-                        ).score
-                    )
-            # the row's text does not fit the template, or its forward overflows
-            except (ValueError, FloatingPointError) as exc:
-                raise type(exc)(f"{where}: {exc}") from None
+            if job.fusion is not None:
+                s_sr = score(job.params, job.config, "SR", cand, reference=ref).score
+                s_sd = score(job.params, job.config, "SD", cand, document=doc).score
+                values.append(fuse(s_sr, s_sd, job.fusion))
+            else:
+                values.append(
+                    score(
+                        job.params, job.config, job.scenario, cand, reference=ref,
+                        document=doc,
+                    ).score
+                )
+        # the row's text does not fit the template, or its forward overflows
         except (ValueError, FloatingPointError) as exc:
-            return values, exc
-    return values, None
-
-
-def _in_order(chunks) -> list[float]:
-    """Concatenate chunk results in input order; raise the first error."""
-    values: list[float] = []
-    for chunk, error in chunks:
-        values.extend(chunk)
-        if error is not None:
-            raise error
+            raise type(exc)(f"{where}: {exc}") from None
     return values
 
 
 def _score_rows(job: _ScoreJob) -> list[float]:
     """Score every row in input order, in contiguous chunks spread over
     ``worker_pool``. A row's bytes do not depend on which process scores
-    it: the encoder is batch-invariant."""
+    it: the encoder is batch-invariant. The first failing row in input
+    order raises, as the pool's ``map`` re-raises a chunk's error in
+    argument order."""
     n = len(job.rows)
     bounds = [(i, min(i + _SCORE_CHUNK, n)) for i in range(0, n, _SCORE_CHUNK)]
     with worker_pool(job, len(bounds), "scoring") as pool:
-        return _in_order(pool.map(_score_chunk, bounds))
+        return [value for chunk in pool.map(_score_chunk, bounds) for value in chunk]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -427,6 +414,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.n_coords < 1:
+        raise ValueError(f"--n-coords must be >= 1, got {args.n_coords}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
     start = time.perf_counter()
     worst = grad_check(n_coords=args.n_coords, seed=args.seed)
     seconds = time.perf_counter() - start

@@ -32,8 +32,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -95,9 +97,6 @@ class ModelConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("model config must be a JSON object")
-        # checkpoints written before dropout was removed carry "dropout": 0.0
-        if raw.pop("dropout", 0.0) != 0.0:
-            raise ValueError("only dropout 0.0 is supported")
         raw["mlp_dims"] = tuple(raw["mlp_dims"])
         return ModelConfig(**raw)
 
@@ -602,95 +601,88 @@ def fuse(s_sr: float, s_sd: float, method: str = DEFAULT_FUSION) -> float:
     return (s_sr + s_sd) / 2.0
 
 
-CHECKPOINT_MAGIC = b"UMSECKPT1"
+CHECKPOINT_MAGIC = b"UMSECKPT2"
+_U32 = struct.Struct("<I")
 
 
 def save_checkpoint(
     params: dict[str, np.ndarray], config: ModelConfig, path: str | Path
 ) -> None:
     """Layout, all integers little-endian: magic; u32 config JSON length +
-    JSON; u32 parameter count; then per parameter (sorted by name) u16 name
-    length + name, u8 ndim, u32 dims, row-major float64 payload."""
+    JSON; every parameter of ``param_shapes(config)`` as row-major float64,
+    in that order with nothing between them (the layout ``param_views``
+    reads); u32 ``zlib.crc32`` of every byte before it. ``params`` must
+    hold exactly the config's names and shapes: anything else raises
+    ``ValueError`` before the file is touched."""
+    shapes = param_shapes(config)
+    missing, unexpected = sorted(set(shapes) - set(params)), sorted(set(params) - set(shapes))
+    if missing or unexpected:
+        raise ValueError(
+            f"parameters differ from the config: missing {missing}, unexpected {unexpected}"
+        )
+    arrays = [np.ascontiguousarray(params[name], dtype="<f8") for name in shapes]
+    for (name, shape), arr in zip(shapes.items(), arrays):
+        if arr.shape != shape:
+            raise ValueError(f"parameter {name} has shape {arr.shape}, the config needs {shape}")
+    blob = config.to_json().encode("utf-8")
+    crc = 0
     with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        blob = config.to_json().encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+        # arrays go out through the buffer protocol, without a bytes copy
+        for chunk in (CHECKPOINT_MAGIC, _U32.pack(len(blob)), blob, *arrays):
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(_U32.pack(crc))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
-    """Read a file written by save_checkpoint. Every read is bounds-checked
-    against the file size, and each payload is read straight into its own
-    array. The parameters must be exactly those of ``param_shapes(config)``:
-    a file that ends early, carries an unreadable config, or holds a
-    missing, unknown, repeated or misshapen parameter raises ``ValueError``."""
+    """Read a file written by save_checkpoint: the parameters of
+    ``param_shapes(config)`` as float64 views of one buffer, and the
+    config. The file size must be exactly what the config implies, which
+    is checked before the buffer is allocated, and the checksum must match.
+    A file that ends early, runs on past its checksum, carries an
+    unreadable config or fails its checksum raises ``ValueError``, and so
+    does a ``UMSECKPT1`` file, whose model must be retrained."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic == b"UMSECKPT1":
+            raise ValueError(
+                f"{path} is a UMSECKPT1 checkpoint, a format no longer read: retrain it"
+            )
+        if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        off = len(CHECKPOINT_MAGIC)
-
-        def reserve(n: int) -> None:
-            nonlocal off
-            if off + n > size:
-                raise ValueError(f"truncated checkpoint: {path}")
-            off += n
 
         def take(n: int) -> bytes:
-            reserve(n)
-            raw = fh.read(n)
-            if len(raw) != n:  # the file shrank while it was read
+            # bounded by the file size first: a corrupt length must not allocate
+            raw = fh.read(n) if fh.tell() + n <= size else b""
+            if len(raw) != n:
                 raise ValueError(f"truncated checkpoint: {path}")
             return raw
-
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
         def corrupt(what: str) -> ValueError:
             return ValueError(f"corrupt checkpoint {path}: {what}")
 
-        (config_len,) = unpack("<I")
-        blob = take(config_len)
+        header = take(_U32.size)
+        blob = take(_U32.unpack(header)[0])
         try:
             config = ModelConfig.from_json(str(blob, "utf-8"))
+            shapes = param_shapes(config)
+            # an integer, or the size check below would compare floats
+            n = operator.index(sum(math.prod(shape) for shape in shapes.values()))
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise corrupt(f"unreadable config ({exc})") from exc
-        shapes = param_shapes(config)
-        (count,) = unpack("<I")
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = unpack("<H")
-            raw = take(name_len)
-            (ndim,) = unpack("<B")
-            shape = unpack(f"<{ndim}I")
-            name = str(raw, "utf-8", "replace")
-            if name not in shapes or name in params:
-                raise corrupt(f"unexpected parameter {name!r}")
-            if shape != shapes[name]:
-                raise corrupt(
-                    f"parameter {name} has shape {shape}, the config needs {shapes[name]}"
-                )
-            reserve(8 * math.prod(shape))  # before allocating: the config may be corrupt
-            arr = np.empty(shape, dtype="<f8")
-            # cast through a 1-D view: a zero in the shape makes memoryview refuse
-            if fh.readinto(memoryview(arr.reshape(-1)).cast("B")) != arr.nbytes:
-                raise ValueError(f"truncated checkpoint: {path}")
-            params[name] = arr
-    missing = sorted(set(shapes) - set(params))
-    if missing:
-        raise corrupt(f"missing parameter {missing[0]!r}")
-    if off != size:
-        raise corrupt(f"{size - off} bytes after the last parameter")
-    return params, config
+        extra = size - (fh.tell() + 8 * n + _U32.size)
+        if extra < 0:
+            raise ValueError(f"truncated checkpoint: {path}")
+        if extra > 0:
+            raise corrupt(f"{extra} bytes after the checksum")
+        flat = np.empty(n, dtype="<f8")
+        if fh.readinto(flat) != flat.nbytes:  # the file shrank while it was read
+            raise ValueError(f"truncated checkpoint: {path}")
+        (crc,) = _U32.unpack(take(_U32.size))
+    if zlib.crc32(flat, zlib.crc32(magic + header + blob)) != crc:
+        raise corrupt("checksum mismatch")
+    return param_views(flat, shapes), config
 
 
 def _usable_cores() -> int:

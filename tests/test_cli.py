@@ -11,6 +11,7 @@ import re
 import signal
 import types
 import warnings
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -1134,7 +1135,8 @@ def _write_scores(path, triples):
 
 class TestCheckpointFile:
     """Every malformed checkpoint ends ``umse score`` with exit 1 and one
-    JSON line on standard error, before any row is scored."""
+    JSON line on standard error, before any row is scored; parameters that
+    do not fit the config are refused before a file is written."""
 
     CONFIG = ModelConfig(
         vocab_size=4, hidden_dim=2, n_layers=1, n_heads=1, ffn_dim=2,
@@ -1165,29 +1167,61 @@ class TestCheckpointFile:
             expected = "not a checkpoint file" if end < 9 else "truncated checkpoint"
             assert error.startswith(expected), (end, error)
 
-    def test_missing_parameter(self, ws, tmp_path):
+    def test_every_flipped_byte_is_json_error(self, ws, tmp_path):
+        data = self._saved(tmp_path, init_parameters(self.CONFIG)).read_bytes()
+        flipped = tmp_path / "flipped.ckpt"
+        for at in range(len(data)):
+            flipped.write_bytes(data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :])
+            error = self._error(ws, flipped)
+            assert error.startswith(("not a checkpoint file", "truncated checkpoint",
+                                     f"corrupt checkpoint {flipped}")), (at, error)
+
+    def _refused_save(self, tmp_path, params, message):
+        """Saving ``params`` over a valid checkpoint raises ``ValueError``
+        and leaves the old file as it was."""
+        path = self._saved(tmp_path, init_parameters(self.CONFIG))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_checkpoint(params, self.CONFIG, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_missing_parameter(self, tmp_path):
         params = init_parameters(self.CONFIG)
         del params["head.w1"]
-        error = self._error(ws, self._saved(tmp_path, params))
-        assert error.endswith("missing parameter 'head.w1'")
+        self._refused_save(tmp_path, params, "missing ['head.w1'], unexpected []")
 
-    def test_extra_parameter(self, ws, tmp_path):
+    def test_extra_parameter(self, tmp_path):
         params = init_parameters(self.CONFIG)
         params["head.w4"] = np.zeros((2, 2))
-        error = self._error(ws, self._saved(tmp_path, params))
-        assert error.endswith("unexpected parameter 'head.w4'")
+        self._refused_save(tmp_path, params, "missing [], unexpected ['head.w4']")
 
     @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 2, 1), (4,)])
-    def test_misshapen_parameter(self, ws, tmp_path, shape):
+    def test_misshapen_parameter(self, tmp_path, shape):
         params = init_parameters(self.CONFIG)
         params["head.w1"] = np.zeros(shape)
-        error = self._error(ws, self._saved(tmp_path, params))
-        assert error.endswith(f"parameter head.w1 has shape {shape}, the config needs (2, 2)")
+        self._refused_save(
+            tmp_path, params, f"parameter head.w1 has shape {shape}, the config needs (2, 2)"
+        )
 
     def test_trailing_bytes(self, ws, tmp_path):
         path = self._saved(tmp_path, init_parameters(self.CONFIG))
         path.write_bytes(path.read_bytes() + b"\x00")
-        assert self._error(ws, path).endswith("1 bytes after the last parameter")
+        assert self._error(ws, path).endswith("1 bytes after the checksum")
+
+    def test_version_1_file_is_refused(self, ws, tmp_path):
+        path = self._saved(tmp_path, init_parameters(self.CONFIG))
+        path.write_bytes(b"UMSECKPT1" + path.read_bytes()[9:])
+        assert self._error(ws, path) == (
+            f"{path} is a UMSECKPT1 checkpoint, a format no longer read: retrain it"
+        )
+
+    @staticmethod
+    def _write_v2(path, blob, n_floats):
+        """A version 2 file by hand: ``blob`` as the config, ``n_floats``
+        zeros as the payload, and the checksum."""
+        body = b"UMSECKPT2" + len(blob).to_bytes(4, "little") + blob + bytes(8 * n_floats)
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
     @pytest.mark.parametrize(
         "change, message",
@@ -1196,16 +1230,17 @@ class TestCheckpointFile:
             ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
             ({"n_heads": 0}, "n_heads must be >= 1, got 0"),
             ({"mlp_dims": [0, 2, 2]}, "mlp_dims widths must be >= 1, got [0, 2, 2]"),
+            ({"hidden_dim": 2.0}, "'float' object cannot be interpreted as an integer"),
         ],
     )
     def test_zero_width_config(self, ws, tmp_path, change, message):
-        """A config with a zero width, written with parameters of the
-        shapes it implies, some of them holding no element."""
+        """A config with a zero width, or a width that is not an integer,
+        followed by as many parameters as its shapes imply."""
         raw = {**dataclasses.asdict(self.CONFIG), **change}
         shapes = model.param_shapes(types.SimpleNamespace(**raw))
-        header = types.SimpleNamespace(to_json=lambda: json.dumps(raw, sort_keys=True))
         path = tmp_path / "model.ckpt"
-        save_checkpoint({name: np.zeros(shape) for name, shape in shapes.items()}, header, path)
+        self._write_v2(path, json.dumps(raw, sort_keys=True).encode("utf-8"),
+                       int(sum(np.prod(shape) for shape in shapes.values())))
         assert self._error(ws, path) == (
             f"corrupt checkpoint {path}: unreadable config ({message})"
         )
@@ -1213,7 +1248,7 @@ class TestCheckpointFile:
     @pytest.mark.parametrize("blob", [b"{", b"[]", b'{"vocab_size": 4}', b"\xff"])
     def test_unreadable_config(self, ws, tmp_path, blob):
         path = tmp_path / "model.ckpt"
-        path.write_bytes(b"UMSECKPT1" + len(blob).to_bytes(4, "little") + blob)
+        self._write_v2(path, blob, 0)
         assert "unreadable config" in self._error(ws, path)
 
 
@@ -1497,6 +1532,22 @@ class TestGradcheckCommand:
         code, out, _ = run_cli(["gradcheck", "--tolerance", "1e-12"])
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-coords", "0"], "--n-coords must be >= 1, got 0"),
+            (["--n-coords", "-3"], "--n-coords must be >= 1, got -3"),
+            (["--tolerance", "nan"], "--tolerance must be finite and positive, got nan"),
+            (["--tolerance", "inf"], "--tolerance must be finite and positive, got inf"),
+            (["--tolerance", "0"], "--tolerance must be finite and positive, got 0.0"),
+            (["--tolerance=-1e-4"], "--tolerance must be finite and positive, got -0.0001"),
+        ],
+    )
+    def test_empty_or_meaningless_check_is_refused(self, flags, message):
+        code, out, err = run_cli(["gradcheck", *flags])
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": message}) + "\n"
 
 
 class TestHelpAndErrors:
